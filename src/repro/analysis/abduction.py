@@ -33,7 +33,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.logic import build
 from repro.logic.free_vars import free_vars
-from repro.logic.nnf import atoms_of
+from repro.logic.nnf import atoms_in_order, atoms_of
 from repro.logic.simplify import simplify
 from repro.logic.terms import BoolConst, Eq, Expr, Ge, Gt, INT, Le, Lt, Ne, Not, Var
 from repro.smt.linear import linearize
@@ -159,7 +159,7 @@ def _generalize_atoms(sources: Sequence[Expr]) -> List[Expr]:
             generalizations.append(expr)
 
     for source in sources:
-        for atom in atoms_of(source):
+        for atom in atoms_in_order(source):
             if not isinstance(atom, (Eq, Ne, Le, Lt, Ge, Gt)):
                 continue
             try:

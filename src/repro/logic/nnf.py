@@ -7,7 +7,7 @@ candidate predicates from clauses of the weakest precondition).
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.logic import build
 from repro.logic.terms import (
@@ -138,16 +138,25 @@ def to_cnf_clauses(expr: Expr, max_clauses: int = 4096) -> List[Tuple[Expr, ...]
 
 def atoms_of(expr: Expr) -> FrozenSet[Expr]:
     """Collect the theory atoms / boolean variables occurring in *expr*."""
-    atoms: set[Expr] = set()
+    return frozenset(atoms_in_order(expr))
+
+
+def atoms_in_order(expr: Expr) -> Tuple[Expr, ...]:
+    """The atoms of *expr* in first-occurrence (pre-order) order.
+
+    Use this instead of :func:`atoms_of` wherever the iteration order can
+    reach an output: a frozenset's order depends on the string hash seed.
+    """
+    atoms: Dict[Expr, None] = {}
     _atoms(expr, atoms)
-    return frozenset(atoms)
+    return tuple(atoms)
 
 
-def _atoms(expr: Expr, out: set[Expr]) -> None:
+def _atoms(expr: Expr, out: Dict[Expr, None]) -> None:
     if isinstance(expr, BoolConst):
         return
     if is_atom(expr):
-        out.add(expr)
+        out.setdefault(expr)
         return
     for child in expr.children():
         _atoms(child, out)
