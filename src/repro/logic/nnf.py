@@ -7,7 +7,7 @@ candidate predicates from clauses of the weakest precondition).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.logic import build
 from repro.logic.terms import (
@@ -90,13 +90,21 @@ def _nnf(expr: Expr, positive: bool) -> Expr:
     raise TypeError(f"cannot convert node {type(expr).__name__} to NNF")
 
 
-def to_dnf_clauses(expr: Expr, max_clauses: int = 4096) -> List[Tuple[Expr, ...]]:
+#: Default cube budget of a DNF expansion, read at call time.  Quantifier
+#: elimination enforces the same budget on the cube lists it projects.
+MAX_DNF_CLAUSES = 4096
+
+
+def to_dnf_clauses(expr: Expr, max_clauses: Optional[int] = None) -> List[Tuple[Expr, ...]]:
     """Return the DNF of *expr* as a list of literal tuples (cubes).
 
     The input must be quantifier free.  A :class:`ValueError` is raised when
-    the expansion would exceed *max_clauses* cubes, protecting the abduction
-    engine from exponential blow-up on pathological inputs.
+    the expansion would exceed *max_clauses* cubes (default
+    :data:`MAX_DNF_CLAUSES`), protecting the abduction engine from
+    exponential blow-up on pathological inputs.
     """
+    if max_clauses is None:
+        max_clauses = MAX_DNF_CLAUSES
     nnf = to_nnf(expr)
     cubes = _dnf(nnf, max_clauses)
     return [tuple(cube) for cube in cubes]
@@ -127,7 +135,7 @@ def _dnf(expr: Expr, max_clauses: int) -> List[List[Expr]]:
     raise TypeError(f"unexpected node in NNF formula: {type(expr).__name__}")
 
 
-def to_cnf_clauses(expr: Expr, max_clauses: int = 4096) -> List[Tuple[Expr, ...]]:
+def to_cnf_clauses(expr: Expr, max_clauses: Optional[int] = None) -> List[Tuple[Expr, ...]]:
     """Return the CNF of *expr* as a list of literal tuples (clauses)."""
     negated_cubes = to_dnf_clauses(build.lnot(expr), max_clauses)
     clauses = []
