@@ -107,18 +107,15 @@ def _project_variable(var: Var, result: Union[Expr, List[Cube]], *,
         cubes = normalised
     if strict:
         _check_unit_coefficients(var, cubes)
-    projected: List[Cube] = []
-    seen = set()
+    projected: Dict[Cube, None] = {}
     for cube in cubes:
         image = _project_cube(var.name, cube)
         if image is None:
             continue
         if not image:
             return build.TRUE
-        if image not in seen:
-            seen.add(image)
-            projected.append(image)
-    return projected if projected else build.FALSE
+        projected.setdefault(image)
+    return list(projected) if projected else build.FALSE
 
 
 #: The last expansion, keyed by formula and clause budget.  Abduction
@@ -132,13 +129,14 @@ def _expand(formula: Expr) -> Union[Expr, List[Cube]]:
     key = (formula, nnf.MAX_DNF_CLAUSES)
     expanded = _LAST_EXPANSION.get(key)
     if expanded is None:
+        _LAST_EXPANSION.clear()
         try:
             processed = preprocess(formula)
             expanded = (processed if isinstance(processed, BoolConst)
                         else _to_cubes(nnf.to_dnf_clauses(processed)))
         except ValueError as error:
-            expanded = error
-        _LAST_EXPANSION.clear()
+            # Without its traceback: the frames hold the partial expansion.
+            expanded = error.with_traceback(None)
         _LAST_EXPANSION[key] = expanded
     if isinstance(expanded, ValueError):
         raise type(expanded)(*expanded.args)
