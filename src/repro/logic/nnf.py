@@ -90,8 +90,8 @@ def _nnf(expr: Expr, positive: bool) -> Expr:
     raise TypeError(f"cannot convert node {type(expr).__name__} to NNF")
 
 
-#: Default cube budget of a DNF expansion, read at call time.  Quantifier
-#: elimination enforces the same budget on the cube lists it projects.
+#: Default cube budget of a DNF expansion, read at call time (tests lower
+#: it).  Quantifier elimination's cube lists come from these expansions.
 MAX_DNF_CLAUSES = 4096
 
 

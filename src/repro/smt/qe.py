@@ -121,6 +121,8 @@ def _project_variable(var: Var, result: Union[Expr, List[Cube]], *,
 #: The last expansion, keyed by formula and clause budget.  Abduction
 #: eliminates up to 16 variable subsets from one negated obligation in a row,
 #: so one entry serves them all; a failed expansion is kept as its error.
+#: The entry is a function of its key alone, so callers sharing it get the
+#: results they would compute themselves; one entry bounds its memory.
 _LAST_EXPANSION: Dict[Tuple[Expr, int], Union[Expr, List[Cube], ValueError]] = {}
 
 
