@@ -503,7 +503,7 @@ def calls_semantically_independent(method_a, args_a, method_b, args_b,
     pairs the fully symbolic check must reject — e.g. two ``putDown`` calls
     whose ``ite``-scalarized array writes only collide for out-of-range
     indices no real workload passes.  Parameters that are reassigned inside
-    a body (none in the paper's language, but genmon output is arbitrary)
+    a body (none in the paper's language, but generated monitors are arbitrary)
     make the call conservatively dependent.
     """
     solver = solver or _default_solver()

@@ -281,14 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="write a deterministic Chrome-trace-event "
                                   "JSON flight recording (per-schedule spans "
                                   "with prune provenance; shard-merged)")
-    explore_cmd.add_argument("--state-dir", default=None, metavar="DIR",
-                             help="journal per-benchmark results to DIR so an "
-                                  "interrupted campaign can continue with "
-                                  "--resume (excludes --trace/--fuzz/--replay)")
     explore_cmd.add_argument("--resume", action="store_true",
-                             help="skip benchmarks already completed in "
-                                  "--state-dir's journal (same configuration "
-                                  "required)")
+                             help="skip benchmarks --store already holds "
+                                  "results for under the same configuration")
     explore_cmd.add_argument("--json", action="store_true",
                              help="emit machine-readable JSON instead of text")
     _add_resilience_args(explore_cmd)
@@ -301,8 +296,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz_cmd.add_argument("--seed", type=int, default=0,
                           help="campaign seed (default: 0)")
     fuzz_cmd.add_argument("--corpus-dir", default=None,
-                          help="persistent corpus directory (default: "
-                               "in-memory, nothing persisted)")
+                          help="corpus directory: an export of the campaign, "
+                               "plus its store campaign.sqlite3 when no "
+                               "--store is given (default: in-memory, "
+                               "nothing persisted)")
     fuzz_cmd.add_argument("--workers", type=_positive_int, default=1,
                           help="shard candidate evaluation over a process "
                                "pool (default: 1 = in-process)")
@@ -330,12 +327,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                "JSON flight recording of the whole campaign")
     fuzz_cmd.add_argument("--resume", action="store_true",
                           help="continue the last checkpointed campaign in "
-                               "--corpus-dir, rolling a torn journal tail "
-                               "back to the last good record first")
+                               "the campaign store (--store, else "
+                               "--corpus-dir/campaign.sqlite3)")
     fuzz_cmd.add_argument("--repair", action="store_true",
-                          help="roll --corpus-dir back to its last valid "
-                               "journal record (truncate torn tail, drop "
-                               "stale tmp files, rewrite state), then resume")
+                          help="verify the campaign store, drop the corrupt "
+                               "rows it can re-derive, then resume (exit 2 "
+                               "naming any corrupt row it cannot re-derive)")
     fuzz_cmd.add_argument("--json", action="store_true",
                           help="emit machine-readable JSON instead of text")
     _add_resilience_args(fuzz_cmd)
@@ -678,8 +675,8 @@ def _cmd_replay(args) -> int:
 
 def _cmd_explore(args) -> int:
     from repro.explore import explore_benchmark
-    from repro.explore.genmon import fuzz_pipeline
     from repro.explore.parallel import parallel_explore_benchmark
+    from repro.fuzz.generate import fuzz_pipeline
 
     if args.replay is not None:
         if args.fuzz is not None or args.benchmark:
@@ -694,18 +691,9 @@ def _cmd_explore(args) -> int:
               file=sys.stderr)
         return 2
 
-    if args.resume and not (args.state_dir or args.store):
-        print("error: --resume needs --state-dir or --store (the campaign "
-              "state to continue from)", file=sys.stderr)
-        return 2
-    if args.state_dir and (args.fuzz is not None or args.replay or args.trace):
-        print("error: --state-dir checkpoints registry-benchmark campaigns; "
-              "it cannot be combined with --fuzz, --replay or --trace",
-              file=sys.stderr)
-        return 2
-    if args.store and args.state_dir:
-        print("error: --store and --state-dir are alternative campaign "
-              "persistence mechanisms; pick one", file=sys.stderr)
+    if args.resume and not args.store:
+        print("error: --resume needs --store (the campaign state to "
+              "continue from)", file=sys.stderr)
         return 2
     if args.store and (args.fuzz is not None or args.replay):
         print("error: --store drives registry-benchmark campaigns; it "
@@ -752,12 +740,10 @@ def _cmd_explore(args) -> int:
     else:
         specs = list(ALL_BENCHMARKS.values())
 
-    # --state-dir: journal one record per finished benchmark so a killed
-    # campaign continues from the last completed benchmark under --resume.
-    # --store does the same through the shared store's frontier table (one
-    # record per benchmark, keyed by the config fingerprint) — and
-    # additionally dispatches shards through its work-stealing queue.
-    journal = None
+    # --store: one frontier record per finished benchmark, keyed by the
+    # config fingerprint, so a killed campaign continues from the last
+    # completed benchmark under --resume; shards dispatch through the
+    # store's work-stealing queue.
     completed: dict = {}
     fingerprint = {
         "benchmarks": [spec.name for spec in specs],
@@ -783,31 +769,6 @@ def _cmd_explore(args) -> int:
                 if record is not None:
                     completed[spec.name] = record
         mark_active(cstore, distrib)
-    if args.state_dir:
-        from repro.explore.engine import ExplorationResult
-        from repro.resilience import Journal
-
-        state_dir = Path(args.state_dir)
-        state_dir.mkdir(parents=True, exist_ok=True)
-        journal_path = state_dir / "explore.jsonl"
-        journal = Journal(journal_path)
-        if args.resume:
-            replay = journal.truncate_to_valid()
-            records = list(replay.records)
-            if records and records[0].get("config") != fingerprint:
-                print(f"error: {journal_path} was written by a campaign with "
-                      f"a different configuration; drop --resume to start "
-                      f"over", file=sys.stderr)
-                return 2
-            completed = {record["name"]: record["result"]
-                         for record in records
-                         if record.get("type") == "benchmark"}
-            need_config = not records
-        else:
-            journal_path.unlink(missing_ok=True)
-            need_config = True
-        if need_config:
-            journal.append({"type": "config", "config": fingerprint})
 
     results = []
     for spec in specs:
@@ -835,9 +796,6 @@ def _cmd_explore(args) -> int:
                 max_steps=args.max_steps, stop_on_failure=not args.keep_going,
                 por=args.por, semantic=args.semantic, symmetry=args.symmetry,
                 witness=args.witness))
-        if journal is not None:
-            journal.append({"type": "benchmark", "name": spec.name,
-                            "result": results[-1].to_dict()})
         if cstore is not None:
             from repro.distrib import mark_active
 
@@ -899,6 +857,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from repro.distrib import CorruptRowError, StoreMismatchError
     from repro.fuzz import (
         CorpusStore,
         CorruptCorpusError,
@@ -915,45 +874,20 @@ def _cmd_fuzz(args) -> int:
         return failed
     if args.helper:
         return _run_helper_mode(args, distrib)
-    if (args.resume or args.repair) and not args.corpus_dir:
-        print("error: --resume/--repair need --corpus-dir (the campaign "
-              "state to continue from)", file=sys.stderr)
-        return 2
     store = CorpusStore(args.corpus_dir)
+    if (args.resume or args.repair) and store.state_path(args.store) is None:
+        print("error: --resume/--repair need --corpus-dir or --store (the "
+              "campaign state to continue from)", file=sys.stderr)
+        return 2
     if args.repair:
         try:
-            summary = store.repair()
-        except CorruptCorpusError as exc:
-            print(f"error: cannot repair corpus at {exc.root}: {exc.detail}",
-                  file=sys.stderr)
+            summary = store.repair(args.store)
+        except CorruptRowError as exc:
+            print(f"error: cannot repair: {exc}", file=sys.stderr)
             return 2
-        truncated = "truncated torn tail" if summary["journal_truncated"] \
-            else "journal intact"
-        restored = summary.get("entries_restored") or []
-        rolled = (f", {len(restored)} admitted entry file(s) rolled "
-                  f"forward from the journal" if restored else "")
-        print(f"repaired {args.corpus_dir}: {summary['journal_records']} "
-              f"journal record(s) kept ({truncated}), "
-              f"{len(summary['tmp_removed'])} stale tmp file(s) removed"
-              f"{rolled}",
-              file=sys.stderr)
-        if args.store:
-            # The shared store gets the same treatment: every row carries a
-            # content checksum, so corruption is detected and dropped (a
-            # corrupt unit result merely re-runs that unit).
-            from repro.distrib import CampaignStore
-
-            cstore = CampaignStore(args.store)
-            problems = cstore.verify()
-            if problems:
-                fixed = cstore.repair()
-                print(f"store {args.store}: dropped "
-                      f"{fixed['rows_dropped']} corrupt row(s) "
-                      f"({len(fixed['problems'])} problem(s) found)",
-                      file=sys.stderr)
-            else:
-                print(f"store {args.store}: verified clean", file=sys.stderr)
-            cstore.close()
+        print(f"repaired {store.state_path(args.store)}: dropped "
+              f"{summary['rows_dropped']} corrupt row(s) the campaign "
+              f"re-derives", file=sys.stderr)
     config = FuzzConfig(
         seed=args.seed, budget=args.budget,
         per_run_budget=args.per_run_budget, threads=args.threads,
@@ -962,11 +896,9 @@ def _cmd_fuzz(args) -> int:
         strategy=args.strategy, max_steps=args.max_steps,
         trace=bool(args.trace), resume=args.resume or args.repair,
         supervisor=_supervisor_from_args(args), distrib=distrib)
-    from repro.distrib import StoreMismatchError
-
     try:
         result = run_campaign(config, store)
-    except (CorruptCorpusError, StoreMismatchError) as exc:
+    except (CorruptCorpusError, CorruptRowError, StoreMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.trace:

@@ -9,12 +9,12 @@ This package replaces both with two on-disk primitives any number of
 one ``--store PATH`` — can cooperate through:
 
 * :mod:`repro.distrib.store` — :class:`CampaignStore`, a SQLite-WAL-backed
-  store holding visited-state hashes, the fuzz corpus index, coverage maps
-  and a checkpointed exploration frontier.  Every row carries a content
-  checksum; all multi-row updates are single-writer transactional batches
-  (``BEGIN IMMEDIATE``), so a concurrent reader never observes a torn
-  snapshot; ``verify()``/``repair()`` are wired into ``expresso fuzz
-  --repair``.
+  store and the campaigns' only durable state: visited-state hashes, the
+  fuzz corpus and its checkpoints, coverage maps and the exploration
+  frontier.  Every row carries a content checksum; all multi-row updates
+  are single-writer transactional batches (``BEGIN IMMEDIATE``), so a
+  concurrent reader never observes a torn snapshot; ``verify()``/
+  ``repair()`` are wired into ``expresso fuzz --repair``.
 * :mod:`repro.distrib.queue` — :class:`WorkQueue`, a lease-based
   work-stealing queue in the same store: workers claim units under TTL
   leases with heartbeat renewal; an expired lease (crashed/hung worker)
@@ -28,7 +28,12 @@ Fault sites (see :mod:`repro.resilience.faults`): ``store.read`` and
 mode above is deterministically injectable.
 """
 
-from repro.distrib.store import CampaignStore, StoreMismatchError, VisitedStore
+from repro.distrib.store import (
+    CampaignStore,
+    CorruptRowError,
+    StoreMismatchError,
+    VisitedStore,
+)
 from repro.distrib.queue import (
     DistribConfig,
     WorkQueue,
@@ -39,7 +44,7 @@ from repro.distrib.queue import (
 )
 
 __all__ = [
-    "CampaignStore", "StoreMismatchError", "VisitedStore",
+    "CampaignStore", "CorruptRowError", "StoreMismatchError", "VisitedStore",
     "DistribConfig", "WorkQueue", "mark_active", "mark_finished",
     "queue_map", "run_helper",
 ]

@@ -479,7 +479,7 @@ def run_helper(store_path, config: Optional[DistribConfig] = None,
     claimable unit (any batch), evaluate, complete, repeat — until the
     driver's liveness window (``active_until``, refreshed while the driver
     runs, cleared when it finishes) lapses and the queue drains.  The
-    helper never merges or journals: the driver owns every artifact, so
+    helper never merges or checkpoints: the driver owns every artifact, so
     the final state is byte-identical to a single-process run whatever
     work the helper picked up.  ``wait_for_store`` additionally waits for
     the store file itself, so a helper may be started *before* the driver.

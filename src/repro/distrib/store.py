@@ -1,26 +1,33 @@
-"""The SQLite-WAL-backed campaign store (``--store PATH``).
+"""The SQLite-WAL-backed campaign store: the one durable campaign state.
 
-One file holds everything a campaign shares across processes:
+A fuzz or explore campaign checkpoints here and nowhere else: the ``--store
+PATH`` when one is given, otherwise ``<corpus-dir>/campaign.sqlite3``.  One
+file holds everything a campaign shares across processes and restarts:
 
 ========== =================================================================
 table      contents
 ========== =================================================================
 meta       campaign config fingerprint, driver lease, free-form flags
 visited    completion-gated visited-state hashes, namespaced by *scope*
-corpus     the fuzz corpus index: entry id -> file checksum + fingerprint
+corpus     the fuzz corpus: entry id -> the entry's full record
 coverage   the merged coverage map, one (axis, feature) row each
-frontier   checkpointed exploration frontier (per-benchmark results, the
-           fuzz campaign's last checkpoint record)
+frontier   checkpointed campaign progress (per-benchmark explore results,
+           the fuzz campaign's ``fuzz/checkpoint`` record)
 units      the work-stealing queue (see :mod:`repro.distrib.queue`)
 counters   ``distrib.*`` observability counters, aggregated transactionally
 telemetry  per-worker heartbeat/progress rows for ``expresso status``
 ========== =================================================================
 
 Integrity: every row carries a blake2b-128 checksum of its payload
-(:func:`repro.resilience.atomic.checksum_payload` — the same canonical-JSON
-checksum the journal uses), so silent corruption is detectable row by row:
-:meth:`CampaignStore.verify` reports every bad row, :meth:`CampaignStore.repair`
-drops them (the campaign re-derives dropped state deterministically).
+(:func:`repro.resilience.atomic.checksum_payload`), so silent corruption is
+detectable row by row: :meth:`CampaignStore.verify` reports every bad row,
+:meth:`CampaignStore.repair` drops the ones a campaign re-derives.  The
+corpus rows and the ``fuzz/checkpoint`` row hold state nothing else has;
+a corrupt one raises :class:`CorruptRowError` naming it, on repair and on
+the checksum-verified reads a campaign restores from.
+
+Durability: write connections run ``PRAGMA synchronous=FULL``, so a
+committed transaction survives power loss once ``transaction`` returns.
 
 Concurrency: SQLite in WAL mode with ``BEGIN IMMEDIATE`` write
 transactions.  WAL gives readers a stable snapshot while one writer
@@ -34,7 +41,8 @@ Fault sites: ``store.write`` before every write transaction and
 ``store.read`` before every read snapshot, with the operation name (and
 unit id where there is one) as the token — a chaos plan can kill a process
 at any specific lease boundary with ``{"site": "store.write",
-"match": "claim:..."}``.
+"match": "claim:..."}``, or at a fuzz checkpoint commit with ``"match":
+"checkpoint"``.
 """
 
 from __future__ import annotations
@@ -90,6 +98,10 @@ _CHECKED = (
 )
 
 
+#: The fuzz campaign's checkpoint record in the ``frontier`` table.
+FUZZ_CHECKPOINT = "fuzz/checkpoint"
+
+
 class StoreMismatchError(RuntimeError):
     """The store belongs to a campaign with different parameters."""
 
@@ -99,8 +111,26 @@ class StoreMismatchError(RuntimeError):
         super().__init__(f"campaign store at {self.path}: {detail}")
 
 
+class CorruptRowError(RuntimeError):
+    """Rows no campaign can re-derive are missing or fail their checksum."""
+
+    def __init__(self, path, rows: Sequence[str]):
+        self.path = Path(path)
+        self.rows = list(rows)
+        super().__init__(
+            f"campaign store at {self.path}: {'; '.join(self.rows)}; this "
+            f"state cannot be re-derived: restore the store from a copy or "
+            f"start a fresh campaign")
+
+
 def _row_sha(*fields: Any) -> str:
     return checksum_payload(list(fields))
+
+
+def _unrecoverable(table: str, key: Sequence[Any]) -> bool:
+    """The fuzz corpus and its checkpoint: state held nowhere else."""
+    return table == "corpus" or (table == "frontier"
+                                 and key[0] == FUZZ_CHECKPOINT)
 
 
 class CampaignStore:
@@ -144,7 +174,7 @@ class CampaignStore:
                                        isolation_level=None)
                 conn.row_factory = sqlite3.Row
                 conn.execute("PRAGMA journal_mode=WAL")
-                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.execute("PRAGMA synchronous=FULL")
                 conn.execute(
                     f"PRAGMA busy_timeout={int(self.busy_timeout * 1000)}")
                 conn.executescript(_SCHEMA)
@@ -215,7 +245,7 @@ class CampaignStore:
 
         The first invocation records the config fingerprint; later ones —
         resumes, cooperating helpers, post-crash restarts — must present
-        the same fingerprint, exactly like the journal's resume check.
+        the same fingerprint.
         """
         stamp = checksum_payload(fingerprint)
         with self.transaction("bind") as conn:
@@ -245,29 +275,39 @@ class CampaignStore:
             "SELECT hash FROM visited WHERE scope = ?", (scope,)).fetchall()
         return {int(row["hash"]) for row in rows}
 
-    # -- corpus index / coverage / frontier -----------------------------------
+    # -- corpus / coverage / frontier -----------------------------------------
 
-    def index_entries(self, records: Dict[str, dict],
-                      conn: Optional[sqlite3.Connection] = None) -> None:
-        """Mirror corpus entries into the index (id -> checksummed summary)."""
+    def add_entries(self, records: Sequence[dict],
+                    conn: sqlite3.Connection) -> None:
+        """Store corpus entries' full records inside an open transaction."""
         rows = []
-        for entry_id, record in sorted(records.items()):
+        for record in records:
             payload = json.dumps(record, sort_keys=True)
-            rows.append((entry_id, payload, _row_sha(entry_id, payload)))
-        if not rows:
-            return
-        if conn is not None:
-            conn.executemany(
-                "INSERT OR REPLACE INTO corpus VALUES (?, ?, ?)", rows)
-            return
-        with self.transaction("corpus.index") as conn:
-            conn.executemany(
-                "INSERT OR REPLACE INTO corpus VALUES (?, ?, ?)", rows)
+            rows.append((record["entry_id"], payload,
+                         _row_sha(record["entry_id"], payload)))
+        conn.executemany("INSERT OR REPLACE INTO corpus VALUES (?, ?, ?)",
+                         rows)
 
-    def corpus_index(self) -> Dict[str, dict]:
-        rows = self._read("corpus.index").execute(
-            "SELECT entry_id, payload FROM corpus").fetchall()
-        return {row["entry_id"]: json.loads(row["payload"]) for row in rows}
+    def corpus_records(self, ids: Sequence[str]) -> List[dict]:
+        """The corpus records for *ids*, in that order, checksum-verified.
+
+        A missing or corrupt row raises :class:`CorruptRowError`: the
+        checkpoint admitted the entry, and no other copy exists.
+        """
+        rows = {row["entry_id"]: row for row in self._read("corpus").execute(
+            "SELECT entry_id, payload, sha FROM corpus")}
+        records, lost = [], []
+        for entry_id in ids:
+            row = rows.get(entry_id)
+            if row is None:
+                lost.append(f"corpus row ({entry_id}) is missing")
+            elif row["sha"] != _row_sha(entry_id, row["payload"]):
+                lost.append(f"corpus row ({entry_id}) fails its checksum")
+            else:
+                records.append(json.loads(row["payload"]))
+        if lost:
+            raise CorruptRowError(self.path, lost)
+        return records
 
     def merge_coverage(self, features: Dict[str, Sequence[str]],
                        conn: Optional[sqlite3.Connection] = None) -> None:
@@ -306,9 +346,23 @@ class CampaignStore:
                          args)
 
     def get_frontier(self, key: str) -> Optional[dict]:
+        """The checksum-verified record under *key*, or ``None``.
+
+        A corrupt row reads as absent, so its campaign re-derives it — the
+        ``fuzz/checkpoint`` row excepted, which raises
+        :class:`CorruptRowError`.
+        """
         row = self._read(f"frontier:{key}").execute(
-            "SELECT payload FROM frontier WHERE key = ?", (key,)).fetchone()
-        return json.loads(row["payload"]) if row is not None else None
+            "SELECT payload, sha FROM frontier WHERE key = ?",
+            (key,)).fetchone()
+        if row is None:
+            return None
+        if row["sha"] != _row_sha(key, row["payload"]):
+            if _unrecoverable("frontier", (key,)):
+                raise CorruptRowError(
+                    self.path, [f"frontier row ({key}) fails its checksum"])
+            return None
+        return json.loads(row["payload"])
 
     def frontier_keys(self, prefix: str = "") -> List[str]:
         rows = self._read("frontier.keys").execute(
@@ -376,73 +430,73 @@ class CampaignStore:
 
     # -- integrity ------------------------------------------------------------
 
-    def verify(self) -> List[str]:
-        """Scan every row's checksum; one human-readable line per problem."""
-        problems: List[str] = []
-        conn = self._read("verify")
+    def _corrupt_rows(self, conn: sqlite3.Connection
+                      ) -> List[Tuple[str, Dict[str, Any], str]]:
+        """``(table, key columns, problem)`` for every row failing its
+        checksum; a ``units`` row whose result alone is bad is reported
+        under ``units.result``."""
+        bad = []
         for table, key_cols, payload in _CHECKED:
             try:
                 rows = conn.execute(f"SELECT * FROM {table}").fetchall()
             except sqlite3.OperationalError:
                 continue               # read-only view of an older store
             for row in rows:
-                key = ", ".join(str(row[col]) for col in key_cols)
                 try:
                     ok = row["sha"] == _row_sha(*payload(row))
                 except (ValueError, TypeError):
                     ok = False
                 if not ok:
-                    problems.append(f"{table} row ({key}) fails its checksum")
+                    key = {col: row[col] for col in key_cols}
+                    bad.append((table, key, f"{table} row "
+                                f"({', '.join(map(str, key.values()))}) "
+                                f"fails its checksum"))
         for row in conn.execute("SELECT unit_id, payload, sha, result, "
-                                "result_sha FROM units"):
+                                "result_sha FROM units").fetchall():
+            key = {"unit_id": row["unit_id"]}
             if checksum_text(row["payload"].hex()) != row["sha"]:
-                problems.append(f"units row ({row['unit_id']}) payload fails "
-                                f"its checksum")
-            if row["result"] is not None and (
+                bad.append(("units", key, f"units row ({row['unit_id']}) "
+                            f"payload fails its checksum"))
+            elif row["result"] is not None and (
                     checksum_text(row["result"].hex()) != row["result_sha"]):
-                problems.append(f"units row ({row['unit_id']}) result fails "
-                                f"its checksum")
-        return problems
+                bad.append(("units.result", key, f"units row "
+                            f"({row['unit_id']}) result fails its checksum"))
+        return bad
+
+    def verify(self) -> List[str]:
+        """Scan every row's checksum; one human-readable line per problem."""
+        return [problem for _table, _key, problem
+                in self._corrupt_rows(self._read("verify"))]
 
     def repair(self) -> dict:
-        """Drop rows whose checksums fail; campaigns re-derive them.
+        """Drop the corrupt rows a campaign re-derives; refuse the rest.
 
-        Visited hashes, coverage rows and corpus-index rows are all
-        re-computable (the journal + entry files stay authoritative for the
-        corpus itself); a corrupt unit is re-enqueued by the next driver.
-        Returns ``{"rows_dropped": n, "problems": [...]}``.
+        Visited hashes and coverage rows are re-merged, explore frontier
+        records re-run their benchmark, and a corrupt unit is re-enqueued
+        (a corrupt result alone sends the unit back to pending).  A corrupt
+        corpus row or ``fuzz/checkpoint`` row is state held nowhere else:
+        :class:`CorruptRowError` names it and nothing is dropped.  Returns
+        ``{"rows_dropped": n, "problems": [...]}``.
         """
-        problems = self.verify()
-        dropped = 0
         with self.transaction("repair") as conn:
-            for table, key_cols, payload in _CHECKED:
-                for row in conn.execute(f"SELECT * FROM {table}").fetchall():
-                    try:
-                        ok = row["sha"] == _row_sha(*payload(row))
-                    except (ValueError, TypeError):
-                        ok = False
-                    if not ok:
-                        where = " AND ".join(f"{col} = ?" for col in key_cols)
-                        conn.execute(f"DELETE FROM {table} WHERE {where}",
-                                     tuple(row[col] for col in key_cols))
-                        dropped += 1
-            for row in conn.execute("SELECT unit_id, payload, sha, result, "
-                                    "result_sha FROM units").fetchall():
-                bad_payload = checksum_text(row["payload"].hex()) != row["sha"]
-                bad_result = row["result"] is not None and (
-                    checksum_text(row["result"].hex()) != row["result_sha"])
-                if bad_payload:
-                    conn.execute("DELETE FROM units WHERE unit_id = ?",
-                                 (row["unit_id"],))
-                    dropped += 1
-                elif bad_result:
+            bad = self._corrupt_rows(conn)
+            lost = [problem for table, key, problem in bad
+                    if _unrecoverable(table, list(key.values()))]
+            if lost:
+                raise CorruptRowError(self.path, lost)
+            for table, key, _problem in bad:
+                if table == "units.result":
                     conn.execute(
                         "UPDATE units SET status = 'pending', owner = NULL, "
                         "lease_expires = NULL, result = NULL, "
                         "result_sha = NULL WHERE unit_id = ?",
-                        (row["unit_id"],))
-                    dropped += 1
-        return {"rows_dropped": dropped, "problems": problems}
+                        (key["unit_id"],))
+                    continue
+                where = " AND ".join(f"{col} = ?" for col in key)
+                conn.execute(f"DELETE FROM {table} WHERE {where}",
+                             tuple(key.values()))
+        return {"rows_dropped": len(bad),
+                "problems": [problem for _table, _key, problem in bad]}
 
 
 class VisitedStore:

@@ -12,9 +12,10 @@ against the implicit-signal reference semantics:
   violations, lost wakeups, state divergence);
 * :mod:`repro.explore.reduce`     — ddmin counterexample reduction;
 * :mod:`repro.explore.trace`      — readable interleaving rendering;
-* :mod:`repro.explore.engine`     — the campaign driver gluing it together;
-* :mod:`repro.explore.genmon`     — a seeded random-monitor generator that
-  fuzzes the whole compile pipeline end to end.
+* :mod:`repro.explore.engine`     — the campaign driver gluing it together.
+
+The seeded random-monitor generator that fuzzes the whole compile pipeline
+end to end lives in :mod:`repro.fuzz.generate`.
 """
 
 from repro.explore.engine import (

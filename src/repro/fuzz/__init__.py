@@ -7,15 +7,15 @@ corpus of *interesting* monitors, mutates them structurally, and feeds the
 coverage every exploration run produces back into the next round of mutation —
 the AFL/libFuzzer loop instantiated over signal-placement inputs:
 
-* :mod:`repro.fuzz.generate` — the seeded monitor generators (migrated from
-  ``explore/genmon.py``) with per-entry derived seeds;
+* :mod:`repro.fuzz.generate` — the seeded monitor generators with
+  per-entry derived seeds;
 * :mod:`repro.fuzz.mutate`   — named, seeded structural mutation and
   crossover operators on monitor ASTs;
 * :mod:`repro.fuzz.coverage` — the multi-axis coverage map (scheduler-state
   shapes, independence-matrix shape, DPOR/symmetry class counts, placement
   decisions, oracle verdict kinds) and per-run fingerprints;
-* :mod:`repro.fuzz.corpus`   — the JSON-on-disk corpus store with provenance
-  trails and fingerprint dedup;
+* :mod:`repro.fuzz.corpus`   — corpus entries with provenance trails and
+  the corpus directory export;
 * :mod:`repro.fuzz.campaign` — the deterministic campaign driver
   (``expresso fuzz``), sharded over :mod:`repro.explore.parallel`.
 """

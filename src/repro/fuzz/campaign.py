@@ -23,15 +23,19 @@ worker count only changes wall-clock time.  The budget counts **judged
 schedules**, so equal-budget comparisons against the blind
 :func:`repro.fuzz.generate.fuzz_pipeline` baseline are fair.
 
-Crash safety: with an on-disk store, the driver appends one self-contained
-**checkpoint record** to the corpus journal after the bootstrap and after
-every mutation round — admission-ordered entry ids, power-schedule picks,
-coverage, findings, and the result counters.  ``resume=True`` restores the
-last checkpoint and continues the *same* invocation; because checkpoints
-carry no timing and every round is a pure function of (seed, round index,
-restored state), a campaign killed at any point and resumed produces a
-byte-identical corpus directory — journal included — to one that never
-crashed.  Candidate evaluation runs under the worker supervisor: a worker
+Crash safety: the campaign's one durable state is its
+:class:`~repro.distrib.CampaignStore` (``--store PATH``, else
+``<corpus-dir>/campaign.sqlite3``).  After the bootstrap, after every
+mutation round and at finalize the driver commits one transaction: the
+self-contained ``fuzz/checkpoint`` record (admission-ordered entry ids,
+power-schedule picks, coverage, findings, result counters), the newly
+admitted entries' full records in the ``corpus`` table, coverage and
+telemetry.  ``resume=True`` restores the last checkpoint and continues the
+*same* invocation; because checkpoints carry no timing and every round is a
+pure function of (seed, round index, restored state), a campaign killed at
+any point and resumed produces the byte-identical result and corpus export
+of one that never crashed.  The export is written once, after the final
+commit.  Candidate evaluation runs under the worker supervisor: a worker
 death or hang is retried and, at worst, quarantined into
 ``compile_errors`` as a per-candidate ``worker:`` error.
 
@@ -43,12 +47,8 @@ Any process pointed at the store — the driver, its pool workers, extra
 ``expresso fuzz --store PATH --helper`` invocations — claims units under TTL
 leases; a crashed worker's unit is stolen after the lease expires.  Unit ids
 are keyed by entry id, so a resumed driver re-enqueueing a replayed round
-reuses stored results and merges stay deterministic.  The driver mirrors
-every checkpoint into the store (corpus index, coverage map, checkpoint
-frontier) and checkpoint records additionally embed each newly admitted
-entry's full record (``entry_records``), so a corpus directory whose journal
-is *ahead* of its entry files rolls forward on resume/repair instead of
-failing.
+reuses stored results and merges stay deterministic.  The same store holds
+the checkpoints, so helpers and status readers see one consistent state.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from repro.distrib import (
     mark_finished,
     queue_map,
 )
+from repro.distrib.store import FUZZ_CHECKPOINT
 from repro.explore.parallel import map_jobs
 from repro.fuzz.corpus import (
     CorpusEntry,
@@ -96,8 +97,8 @@ class FuzzConfig:
     strategy: str = "dfs"
     max_steps: int = 20_000
     trace: bool = False           # flight recorder: per-candidate shard traces
-    #: Continue the last journaled invocation (rolling the corpus back to
-    #: its last valid checkpoint first) instead of starting a new one.
+    #: Continue the last checkpointed invocation instead of starting a new
+    #: one.
     resume: bool = False
     #: Worker supervision knobs (per-job deadline, retry budget); ``None``
     #: uses the supervisor defaults.
@@ -371,44 +372,34 @@ def run_campaign(config: FuzzConfig,
     result = FuzzCampaignResult(seed=config.seed, budget=config.budget,
                                 workers=config.workers,
                                 strategy=config.strategy)
-    dstore: Optional[CampaignStore] = None
-    if config.distrib is not None and config.distrib.store_path:
-        dstore = CampaignStore(config.distrib.store_path)
-        dstore.bind_campaign(config.fingerprint_dict())
-        mark_active(dstore, config.distrib)
-
-    # -- journal recovery / restore -------------------------------------------
-    journal = store.journal()
-    checkpoint_record = None
-    journal_records: List[dict] = []
-    if journal is not None and journal.exists():
-        if config.resume:
-            replay = journal.truncate_to_valid()
-        else:
-            replay = journal.replay()
-            if replay.torn:
-                raise CorruptCorpusError(
-                    store.root, "journal has a torn tail; rerun with "
-                    "--resume (or --repair) to roll back to the last "
-                    "valid checkpoint")
-        checkpoint_record = replay.last
-        journal_records = replay.records
-    resuming = config.resume and checkpoint_record is not None
-    if resuming:
-        if checkpoint_record["config"] != config.fingerprint_dict():
+    # -- restore from the campaign store -------------------------------------
+    explicit = config.distrib.store_path if config.distrib else None
+    distributed = bool(explicit)
+    state_path = store.state_path(explicit)
+    cstore = CampaignStore(state_path) if state_path is not None else None
+    record = None
+    if cstore is not None:
+        if distributed:
+            cstore.bind_campaign(config.fingerprint_dict())
+            mark_active(cstore, config.distrib)
+        record = cstore.get_frontier(FUZZ_CHECKPOINT)
+    resuming = config.resume and record is not None
+    entries: List[CorpusEntry] = []
+    if record is not None:
+        if resuming and record["config"] != config.fingerprint_dict():
             raise CorruptCorpusError(
-                store.root, "checkpoint was written by a campaign with "
+                state_path, "checkpoint was written by a campaign with "
                 "different parameters; resume with the original flags")
-        store.restore_checkpoint(checkpoint_record)
-        # A journal ahead of the entry files (lost/tampered directory, but
-        # committed frames survive) rolls forward instead of failing: the
-        # checkpoint records carry every admitted entry's full record.
-        store.roll_forward(journal_records)
-        entries = store.load_entries(ids=checkpoint_record["entries"])
-        picks = checkpoint_record["picks"]
+        # A resume restores the admission order (the power schedule's
+        # tie-break order) and picks; a fresh run continues the stored
+        # corpus in entry-id order with picks reset.
+        ids = record["entries"] if resuming else sorted(record["entries"])
+        entries = [CorpusEntry.from_dict(data)
+                   for data in cstore.corpus_records(ids)]
+    if resuming:
         for entry in entries:
-            entry.picks = int(picks.get(entry.entry_id, 0))
-        counters = checkpoint_record["result"]
+            entry.picks = int(record["picks"].get(entry.entry_id, 0))
+        counters = record["result"]
         result.monitors = counters["monitors"]
         result.schedules_run = counters["schedules_run"]
         result.corpus_added = counters["corpus_added"]
@@ -418,40 +409,23 @@ def run_campaign(config: FuzzConfig,
                                  in counters["compile_errors"]]
         result.operator_stats = {name: dict(stats) for name, stats in
                                  counters["operator_stats"].items()}
+        round_index = int(record["round_index"])
+        rounds_restored = int(record["rounds_this_run"])
+        bootstrap_done = bool(record["bootstrap_done"])
     else:
-        if config.resume:
-            # Nothing journaled yet: nothing was ever committed, so the
-            # resume is a fresh start — and any entry/state files a crash
-            # left behind before the first checkpoint are uncommitted and
-            # must not seed it.
-            store.rollback_uncommitted()
-        elif checkpoint_record is not None:
-            problems = store.validate()
-            if problems:
-                raise CorruptCorpusError(
-                    store.root, "state files disagree with the journal "
-                    f"({'; '.join(problems)}); rerun with --resume or "
-                    "--repair")
-        entries = store.load_entries()
+        round_index = int(record["meta"]["rounds_completed"]) if record else 0
+        rounds_restored = 0
+        bootstrap_done = False
     known_ids = {entry.entry_id for entry in entries}
     checkpointed_ids = set(known_ids)
-    coverage = CoverageMap.from_dict(store.load_coverage() or {})
+    coverage = CoverageMap.from_dict(record["coverage"] if record else {})
     fingerprints = {entry.fingerprint for entry in entries
                     if entry.fingerprint}
     findings: Dict[Tuple, dict] = {}
-    for record in store.load_findings():
-        key = (record.get("kind"), tuple(record.get("minimized", ())),
-               record.get("coverage_fingerprint"))
-        findings[key] = record
-    if resuming:
-        round_index = int(checkpoint_record["round_index"])
-        rounds_restored = int(checkpoint_record["rounds_this_run"])
-        bootstrap_done = bool(checkpoint_record["bootstrap_done"])
-    else:
-        meta = store.load_meta()
-        round_index = int(meta.get("rounds_completed", 0))
-        rounds_restored = 0
-        bootstrap_done = False
+    for finding in (record["findings"] if record else ()):
+        key = (finding.get("kind"), tuple(finding.get("minimized", ())),
+               finding.get("coverage_fingerprint"))
+        findings[key] = finding
     tracer = obs.tracer()
     metrics = obs.registry() if tracer.enabled else None
     worker_shards: List[list] = []
@@ -492,7 +466,6 @@ def run_campaign(config: FuzzConfig,
             fingerprints.add(entry.fingerprint)
             entries.append(entry)
             known_ids.add(entry.entry_id)
-            store.save_entry(entry)
             result.corpus_added += 1
         for failure in outcome.get("failures", ()):
             key = (failure.get("kind"), tuple(failure.get("minimized", ())),
@@ -527,11 +500,13 @@ def run_campaign(config: FuzzConfig,
         across resumes even though a replayed round skips already-admitted
         entries, so stored results always line back up with their jobs.
         """
-        if dstore is not None:
-            mark_active(dstore, config.distrib)
-            return queue_map(_evaluate_candidate, jobs, dstore, batch,
+        if distributed:
+            mark_active(cstore, config.distrib)
+            return queue_map(_evaluate_candidate, jobs, cstore, batch,
                              config.distrib, workers=config.workers,
                              keys=keys)
+        if cstore is not None:
+            cstore.close()             # no SQLite handle across the fork
         return map_jobs(_evaluate_candidate, jobs, config.workers,
                         supervisor=config.supervisor)
 
@@ -543,22 +518,16 @@ def run_campaign(config: FuzzConfig,
                                 tuple(record.get("minimized", ()))))
 
     def checkpoint() -> None:
-        """Persist state files + append one self-contained journal record.
+        """Commit one self-contained checkpoint in one store transaction.
 
         The record carries everything a resume needs (no timing, nothing
-        invocation-specific), so a killed-and-resumed campaign appends the
-        *same* records an uninterrupted one would — the journal itself
-        converges byte-identically.  Entries admitted since the previous
-        checkpoint ride along in full (``entry_records``): committed journal
-        frames are then sufficient to rebuild a lost entry file
-        byte-identically (see :meth:`CorpusStore.roll_forward`).
+        invocation-specific), so a killed-and-resumed campaign commits the
+        *same* records an uninterrupted one would.  Entries admitted since
+        the previous checkpoint land in the ``corpus`` table in the same
+        transaction: a reader sees the record with its entries or neither.
         """
-        if journal is None:
+        if cstore is None:
             return
-        meta = {"seed": config.seed, "rounds_completed": round_index,
-                "schedules_last_run": result.schedules_run}
-        current_findings = ordered_findings_list()
-        store.save_state(coverage.to_dict(), current_findings, meta)
         fresh = [entry for entry in entries
                  if entry.entry_id not in checkpointed_ids]
         record = {
@@ -568,13 +537,11 @@ def run_campaign(config: FuzzConfig,
             "round_index": round_index,
             "rounds_this_run": rounds_this_run,
             "entries": [entry.entry_id for entry in entries],
-            "entry_records": {entry.entry_id: entry.to_dict()
-                              for entry in fresh},
             "picks": {entry.entry_id: entry.picks for entry in entries
                       if entry.picks},
             "coverage": coverage.to_dict(),
-            "findings": current_findings,
-            "meta": meta,
+            "findings": ordered_findings_list(),
+            "meta": export_meta(),
             "result": {
                 "monitors": result.monitors,
                 "schedules_run": result.schedules_run,
@@ -585,22 +552,21 @@ def run_campaign(config: FuzzConfig,
                 "operator_stats": result.operator_stats,
             },
         }
-        journal.append_if_changed(record)
+        with cstore.transaction("checkpoint") as conn:
+            cstore.set_frontier(FUZZ_CHECKPOINT, record, conn=conn)
+            cstore.add_entries([entry.to_dict() for entry in fresh], conn)
+            cstore.merge_coverage(record["coverage"], conn=conn)
+            cstore.record_telemetry(
+                f"driver-{os.getpid()}",
+                {"last_heartbeat": time.time(), "role": "driver",
+                 "round_index": round_index,
+                 "schedules_run": result.schedules_run,
+                 "corpus_entries": len(entries)}, conn=conn)
         checkpointed_ids.update(entry.entry_id for entry in fresh)
-        if dstore is not None:
-            # Mirror the committed checkpoint into the shared store in one
-            # transaction: corpus index, coverage map, and the frontier —
-            # a cooperating process reads a consistent snapshot or nothing.
-            with dstore.transaction("checkpoint.mirror") as conn:
-                dstore.set_frontier("fuzz/checkpoint", record, conn=conn)
-                dstore.merge_coverage(record["coverage"], conn=conn)
-                dstore.index_entries(record["entry_records"], conn=conn)
-                dstore.record_telemetry(
-                    f"driver-{os.getpid()}",
-                    {"last_heartbeat": time.time(), "role": "driver",
-                     "round_index": round_index,
-                     "schedules_run": result.schedules_run,
-                     "corpus_entries": len(entries)}, conn=conn)
+
+    def export_meta() -> dict:
+        return {"seed": config.seed, "rounds_completed": round_index,
+                "schedules_last_run": result.schedules_run}
 
     # -- bootstrap ------------------------------------------------------------
     rounds_this_run = rounds_restored
@@ -629,7 +595,6 @@ def run_campaign(config: FuzzConfig,
                 entries.append(entry)
                 known_ids.add(entry.entry_id)
                 fingerprints.add(entry.fingerprint)
-                store.save_entry(entry)
         checkpoint()
 
     # -- mutation rounds ------------------------------------------------------
@@ -714,16 +679,9 @@ def run_campaign(config: FuzzConfig,
                     metrics.inc(f"fuzz.operator.{name}.{key}", value)
         result.trace_shards = worker_shards
     checkpoint()
-    if journal is None:
-        # In-memory stores have no journal but keep the save_state contract
-        # (a no-op for ``CorpusStore(None)``, the state files otherwise).
-        store.save_state(coverage.to_dict(), result.findings, {
-            "seed": config.seed,
-            "rounds_completed": round_index,
-            "schedules_last_run": result.schedules_run,
-        })
-    if dstore is not None:
-        result.distrib = dstore.counters()
+    store.export(entries, coverage.to_dict(), result.findings, export_meta())
+    if distributed:
+        result.distrib = cstore.counters()
         # The store's transactional aggregates are authoritative: mirror
         # them into the session registry so one namespace serves observe()
         # snapshots, reports and the exporter.
@@ -731,6 +689,7 @@ def run_campaign(config: FuzzConfig,
         # Close the liveness window so cooperating helpers drain and exit;
         # a *crashed* driver instead lets it lapse, keeping helpers around
         # long enough for a resumed driver to take over.
-        mark_finished(dstore)
-        dstore.close()
+        mark_finished(cstore)
+    if cstore is not None:
+        cstore.close()
     return result

@@ -1,37 +1,28 @@
-"""The persistent fuzzing corpus: JSON-on-disk seeds with provenance.
+"""The fuzzing corpus: seeds with provenance, and their directory export.
 
-Layout of a corpus directory::
+A campaign's durable state lives in its :class:`~repro.distrib.CampaignStore`
+(``--store PATH``, else ``<corpus-dir>/campaign.sqlite3``): every checkpoint
+commits the ``fuzz/checkpoint`` record, the newly admitted entries' full
+records, coverage and telemetry in one transaction.  The corpus directory is
+a deterministic **export** of that state, written once per invocation after
+the final commit and never read back::
 
     <dir>/meta.json            campaign seed + completed-round counter
     <dir>/coverage.json        the merged CoverageMap (sorted, byte-stable)
     <dir>/findings.json        deduplicated findings with witnesses
     <dir>/entries/<id>.json    one file per corpus entry
-    <dir>/journal.jsonl        write-ahead checkpoint journal (crash safety)
+    <dir>/campaign.sqlite3     the campaign store (when no --store is given)
 
-Crash safety: every file write is atomic (tmp + fsync + ``os.replace``), so
-state files can never tear — only the *set* of files can be inconsistent
-after a crash.  The campaign driver closes that window with the journal:
-each completed unit of work (bootstrap, every mutation round, finalize)
-appends one **self-contained checkpoint record** — the admission-ordered
-entry-id list, the power-schedule pick counts, the full coverage map,
-findings and result counters — so recovery never needs the state files at
-all: :meth:`CorpusStore.restore_checkpoint` rewrites them from the last
-valid record, and :meth:`~repro.resilience.Journal.truncate_to_valid`
-handles a torn tail.  Entry files written by a crashed round are *orphans*
-(absent from every checkpoint's admission list); the resumed round re-runs
-deterministically and rewrites them byte-identically, so they are never
-deleted, only superseded.  The converse window — a journal *ahead* of the
-entry files — closes too: each checkpoint embeds its newly admitted
-entries' full records (``entry_records``), and
-:meth:`CorpusStore.roll_forward` replays those committed frames to rebuild
-a lost ``entries/<id>.json`` byte-identically on resume or repair.
+Every export file is written atomically (tmp + fsync + ``os.replace``), and
+the export first clears ``*.tmp`` siblings a killed export left behind, so
+re-running the export after any crash rewrites the same bytes.
 
 Every entry records *provenance*, not just its artifact: generated roots
 carry their ``(campaign seed, index)`` derivation, mutants their parent id,
 operator name, operator seed and optional crossover mate — the **mutation
 trail**.  :func:`rebuild_candidate` re-derives any entry's source from seed +
 trail alone, which is what makes corpora replayable and auditable.  Nothing
-in any artifact depends on wall-clock time or process identity.
+in any exported file depends on wall-clock time or process identity.
 
 Dedup is by coverage fingerprint: an entry whose run's full feature set
 matches an existing entry's is not admitted, so one behaviour cannot flood
@@ -41,10 +32,10 @@ the corpus however many mutants re-discover it.
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+from repro.distrib import CampaignStore
 from repro.fuzz.generate import (
     derive_seed,
     random_monitor,
@@ -52,15 +43,14 @@ from repro.fuzz.generate import (
     roles_to_json,
 )
 from repro.fuzz.mutate import Candidate, apply_operator
-from repro.resilience import Journal, atomic_write_json, checksum_payload
+from repro.resilience import atomic_write_json
 
 
 class CorruptCorpusError(RuntimeError):
-    """A corpus directory is in a state the campaign refuses to build on.
+    """A campaign's stored state is one the campaign refuses to build on.
 
     Raised instead of a traceback deep in the loader, with the offending
-    path and a one-line diagnosis; ``expresso fuzz`` maps it to exit code 2
-    and points at ``--resume`` / ``--repair``.
+    path and a one-line diagnosis; ``expresso fuzz`` maps it to exit code 2.
     """
 
     def __init__(self, root, detail: str):
@@ -185,271 +175,60 @@ def rebuild_candidate(entry: CorpusEntry,
 
 
 class CorpusStore:
-    """Load/save the corpus directory (or run fully in memory with ``None``)."""
+    """The corpus directory export (or a fully in-memory run with ``None``)."""
 
-    JOURNAL_NAME = "journal.jsonl"
-    STATE_FILES = ("coverage.json", "findings.json", "meta.json")
+    STORE_NAME = "campaign.sqlite3"
 
     def __init__(self, root: Optional[str] = None):
         self.root = Path(root) if root is not None else None
 
-    def journal(self) -> Optional[Journal]:
-        """The corpus's write-ahead checkpoint journal (``None`` in-memory)."""
-        if self.root is None:
-            return None
-        return Journal(self.root / self.JOURNAL_NAME)
+    def state_path(self, store: Optional[str] = None) -> Optional[Path]:
+        """Where the campaign's durable state lives: the explicit ``--store``
+        path, else ``<root>/campaign.sqlite3`` (``None``: nothing persists)."""
+        if store:
+            return Path(store)
+        return self.root / self.STORE_NAME if self.root is not None else None
 
-    # -- loading --------------------------------------------------------------
+    # -- the export -----------------------------------------------------------
 
-    def load_entries(self, ids: Optional[Sequence[str]] = None) -> List[CorpusEntry]:
-        """Load corpus entries: all of them (id-sorted), or exactly *ids*.
-
-        With *ids* — a checkpoint's admission-ordered list — entries come
-        back in that order (the power schedule's tie-break order), orphan
-        files from crashed rounds are skipped, and a *missing* admitted
-        entry raises :class:`CorruptCorpusError`: the journal says it was
-        admitted, so its absence means the directory was tampered with or
-        lost writes the journal fsync'd.
-        """
-        if self.root is None:
-            return []
-        entries_dir = self.root / "entries"
-        if ids is not None:
-            entries = []
-            for entry_id in ids:
-                path = entries_dir / f"{entry_id}.json"
-                try:
-                    entries.append(CorpusEntry.from_dict(
-                        json.loads(path.read_text())))
-                except (OSError, ValueError, KeyError) as exc:
-                    raise CorruptCorpusError(
-                        self.root, f"admitted entry {entry_id!r} unreadable "
-                        f"({type(exc).__name__}); run --repair") from exc
-            return entries
-        if not entries_dir.is_dir():
-            return []
-        entries = []
-        for path in sorted(entries_dir.glob("*.json")):
-            try:
-                entries.append(CorpusEntry.from_dict(
-                    json.loads(path.read_text())))
-            except (ValueError, KeyError):
-                continue  # a torn cache file must not kill the campaign
-        return entries
-
-    def load_coverage(self) -> Optional[dict]:
-        return self._read_json("coverage.json")
-
-    def load_findings(self) -> List[dict]:
-        return self._read_json("findings.json") or []
-
-    def load_meta(self) -> dict:
-        return self._read_json("meta.json") or {}
-
-    def _read_json(self, name: str):
-        if self.root is None:
-            return None
-        path = self.root / name
-        if not path.exists():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except ValueError:
-            return None
-
-    # -- saving ---------------------------------------------------------------
-
-    def save_entry(self, entry: CorpusEntry) -> None:
+    def export(self, entries: Sequence[CorpusEntry], coverage: dict,
+               findings: Sequence[dict], meta: dict) -> None:
+        """Write the deterministic export of one committed campaign state."""
         if self.root is None:
             return
+        # A killed export leaves ``*.tmp`` siblings behind; clear them.
+        for directory in (self.root, self.root / "entries"):
+            for path in directory.glob("*.tmp"):
+                path.unlink(missing_ok=True)
+        for entry in entries:
+            self.save_entry(entry)
+        self.save_state(coverage, findings, meta)
+
+    def save_entry(self, entry: CorpusEntry) -> None:
         entries_dir = self.root / "entries"
         entries_dir.mkdir(parents=True, exist_ok=True)
-        self._write_json(entries_dir / f"{entry.entry_id}.json", entry.to_dict())
+        atomic_write_json(entries_dir / f"{entry.entry_id}.json",
+                          entry.to_dict())
 
     def save_state(self, coverage: dict, findings: Sequence[dict],
                    meta: dict) -> None:
-        if self.root is None:
-            return
         self.root.mkdir(parents=True, exist_ok=True)
-        self._write_json(self.root / "coverage.json", coverage)
-        self._write_json(self.root / "findings.json", list(findings))
-        self._write_json(self.root / "meta.json", meta)
+        atomic_write_json(self.root / "coverage.json", coverage)
+        atomic_write_json(self.root / "findings.json", list(findings))
+        atomic_write_json(self.root / "meta.json", meta)
 
-    @staticmethod
-    def _write_json(path: Path, payload) -> None:
-        # Atomic even outside the journal path: a kill mid-write must leave
-        # the previous version intact, never a torn file.
-        atomic_write_json(path, payload)
+    # -- repair ---------------------------------------------------------------
 
-    # -- crash recovery -------------------------------------------------------
+    def repair(self, store: Optional[str] = None) -> dict:
+        """Verify the campaign store and drop the corrupt rows it re-derives.
 
-    def restore_checkpoint(self, record: dict) -> None:
-        """Rewrite the state files from a self-contained checkpoint record.
-
-        Used by resume/repair to roll the directory back to its last
-        journaled state — including the files-ahead-of-journal window (a
-        crash after the state writes but before the checkpoint append).
+        Delegates to :meth:`CampaignStore.repair`, which raises
+        :class:`~repro.distrib.store.CorruptRowError` naming any corrupt
+        corpus or checkpoint row instead of dropping it.  The export is
+        not touched: the resume that follows rewrites it.
         """
-        if self.root is None:
-            return
-        self.clean_stale_tmp()
-        self.save_state(record["coverage"], record["findings"], record["meta"])
-
-    def rollback_uncommitted(self) -> List[str]:
-        """Roll a store whose journal has *no* records back to empty.
-
-        A crash before the first checkpoint append leaves entry and state
-        files the journal never committed; a resume must not let them seed
-        the fresh start (they may even belong to a different configuration —
-        without a checkpoint record there is no fingerprint to compare).
-        Returns the removed paths (relative to the root).
-        """
-        removed = self.clean_stale_tmp()
-        if self.root is None or not self.root.is_dir():
-            return removed
-        entries_dir = self.root / "entries"
-        state_paths = [self.root / name for name in self.STATE_FILES]
-        entry_paths = (sorted(entries_dir.glob("*.json"))
-                       if entries_dir.is_dir() else [])
-        for path in state_paths + entry_paths:
-            try:
-                path.unlink()
-                removed.append(str(path.relative_to(self.root)))
-            except OSError:
-                pass
-        return removed
-
-    def roll_forward(self, records: Sequence[dict]) -> List[str]:
-        """Rebuild admitted entry files the journal committed but the
-        directory lost.
-
-        Checkpoint records embed each newly admitted entry's full record
-        (``entry_records``), so when the journal is *ahead* of the entry
-        files — a missing or torn ``entries/<id>.json`` the journal fsync'd
-        an admission for — the committed frames are replayed instead of
-        giving up: the file is rewritten through the same canonical atomic
-        JSON writer ``save_entry`` used, hence byte-identically.  Entries
-        admitted by journals that predate ``entry_records`` stay
-        unrecoverable and are left for :meth:`load_entries`/:meth:`repair`
-        to report.  Returns the restored entry ids (sorted).
-        """
-        if self.root is None:
-            return []
-        committed: Dict[str, dict] = {}
-        for record in records:
-            committed.update(record.get("entry_records") or {})
-        if not committed:
-            return []
-        entries_dir = self.root / "entries"
-        restored = []
-        for entry_id, payload in committed.items():
-            path = entries_dir / f"{entry_id}.json"
-            try:
-                json.loads(path.read_text())
-                continue               # present and readable: leave it be
-            except (OSError, ValueError):
-                pass
-            entries_dir.mkdir(parents=True, exist_ok=True)
-            self._write_json(path, payload)
-            restored.append(entry_id)
-        return sorted(restored)
-
-    def clean_stale_tmp(self) -> List[str]:
-        """Remove ``*.tmp`` siblings left by writes a crash interrupted."""
-        removed = []
-        if self.root is None or not self.root.is_dir():
-            return removed
-        for directory in (self.root, self.root / "entries"):
-            if not directory.is_dir():
-                continue
-            for path in sorted(directory.glob("*.tmp")):
-                try:
-                    path.unlink()
-                    removed.append(str(path.relative_to(self.root)))
-                except OSError:
-                    pass
-        return removed
-
-    def validate(self) -> List[str]:
-        """Diagnose the directory; one human-readable line per problem.
-
-        Checks, in dependency order: journal integrity (torn tail), state
-        files against the last checkpoint's content (detects both torn
-        writes and the crash window between state writes and the journal
-        commit), and the presence of every admitted entry file.
-        """
-        problems: List[str] = []
-        if self.root is None:
-            return problems
-        if not self.root.is_dir():
-            return [f"{self.root} is not a directory"]
-        journal = self.journal()
-        replay = journal.replay()
-        if replay.torn:
-            problems.append(
-                f"journal has a torn tail after {len(replay.records)} "
-                f"valid record(s)")
-        record = replay.last
-        expected = {}
-        if record is not None:
-            expected = {"coverage.json": record["coverage"],
-                        "findings.json": record["findings"],
-                        "meta.json": record["meta"]}
-        for name in self.STATE_FILES:
-            path = self.root / name
-            if not path.exists():
-                if record is not None:
-                    problems.append(f"{name} missing (journal has it)")
-                continue
-            try:
-                payload = json.loads(path.read_text())
-            except ValueError:
-                problems.append(f"{name} is not valid JSON (torn write?)")
-                continue
-            if record is not None and (checksum_payload(payload)
-                                       != checksum_payload(expected[name])):
-                problems.append(f"{name} does not match the last journal "
-                                f"checkpoint")
-        if record is not None:
-            entries_dir = self.root / "entries"
-            for entry_id in record["entries"]:
-                if not (entries_dir / f"{entry_id}.json").exists():
-                    problems.append(f"admitted entry {entry_id} has no file")
-        return problems
-
-    def repair(self) -> dict:
-        """Roll the directory back to its last valid journaled state.
-
-        Truncates a torn journal tail, deletes stale ``*.tmp`` files,
-        rolls missing admitted entry files *forward* from the committed
-        checkpoint frames (:meth:`roll_forward`), and rewrites the state
-        files from the last checkpoint.  Returns a summary dict (what was
-        truncated/removed/restored).  Raises :class:`CorruptCorpusError`
-        only when an admitted entry file is gone *and* no journal frame
-        carries its record (pre-``entry_records`` journals) — that state is
-        unrecoverable without re-running the campaign.
-        """
-        summary = {"journal_records": 0, "journal_truncated": False,
-                   "tmp_removed": [], "entries_restored": [],
-                   "state_restored": False}
-        if self.root is None or not self.root.is_dir():
-            return summary
-        journal = self.journal()
-        replay = journal.truncate_to_valid()
-        summary["journal_records"] = len(replay.records)
-        summary["journal_truncated"] = replay.torn
-        summary["tmp_removed"] = self.clean_stale_tmp()
-        if replay.last is not None:
-            summary["entries_restored"] = self.roll_forward(replay.records)
-            missing = [entry_id for entry_id in replay.last["entries"]
-                       if not (self.root / "entries"
-                               / f"{entry_id}.json").exists()]
-            if missing:
-                raise CorruptCorpusError(
-                    self.root, f"admitted entries lost: {', '.join(missing)}")
-            self.restore_checkpoint(replay.last)
-            summary["state_restored"] = True
-        else:
-            # No committed record at all: everything on disk is uncommitted.
-            summary["tmp_removed"] += self.rollback_uncommitted()
-        return summary
+        cstore = CampaignStore(self.state_path(store))
+        try:
+            return cstore.repair()
+        finally:
+            cstore.close()

@@ -9,10 +9,10 @@ unattended at scale, which means three failure families must become
   that into a per-job error with bounded retry, per-job wall-clock
   deadlines (hang detection), and poison-job quarantine;
 * **torn state** — a crash mid-write leaves a half-written JSON file;
-  :mod:`repro.resilience.atomic` writes atomically (tmp + fsync +
-  ``os.replace``) and :mod:`repro.resilience.journal` provides a
-  write-ahead journal with per-record checksums so campaign state always
-  rolls back to the last good record;
+  :mod:`repro.resilience.atomic` writes exported files atomically (tmp +
+  fsync + ``os.replace``), and campaign state commits in checksummed
+  transactions of the campaign store (:mod:`repro.distrib.store`), so it
+  always restores to the last committed checkpoint;
 * **pathological queries** — one SMT query that never terminates hangs the
   pipeline; ``Solver(timeout_seconds=...)`` returns UNKNOWN instead and
   every caller degrades in the sound direction (see
@@ -40,7 +40,6 @@ from repro.resilience.faults import (
     injected,
     install_plan,
 )
-from repro.resilience.journal import Journal, JournalReplay
 from repro.resilience.supervisor import (
     JobFailure,
     SupervisorConfig,
@@ -52,6 +51,5 @@ __all__ = [
     "active_plan", "fault_check", "injected", "install_plan",
     "atomic_write_json", "atomic_write_text",
     "checksum_payload", "checksum_text",
-    "Journal", "JournalReplay",
     "JobFailure", "SupervisorConfig", "run_supervised",
 ]

@@ -62,7 +62,7 @@ def atomic_write_json(path: Path, payload: Any) -> None:
 
 
 def checksum_text(text: str) -> str:
-    """Stable 128-bit content checksum (journal records, state validation)."""
+    """Stable 128-bit content checksum (campaign store rows)."""
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 

@@ -1,19 +1,19 @@
 """Deterministic fault injection at named sites (``FaultPlan``).
 
 Every robustness mechanism in this repository — supervised workers,
-journaled campaign state, solver degradation — is tested byte-for-byte by
+checkpointed campaign state, solver degradation — is tested byte-for-byte by
 replaying the *same* faults at the *same* points.  Wall-clock chaos (kill a
 random worker, pull the plug mid-write) cannot do that, so instrumented code
 declares **named fault sites** instead::
 
-    fault_check("journal.append", token=record_type)
     fault_check("worker.job", token=entry_id)
     fault_check("disk.write", token=path.name)
 
 The distributed campaign fabric (:mod:`repro.distrib`) adds four sites:
 ``store.read`` and ``store.write`` fire before every shared-store read /
 write transaction (token = the operation, e.g. ``"claim"``,
-``"enqueue:boot"``; additionally ``store.write`` fires with token
+``"enqueue:boot"``, ``"checkpoint"`` for a fuzz campaign's checkpoint
+commit; additionally ``store.write`` fires with token
 ``"claim:<unit id>"`` right *after* a lease commits — a crash there is a
 worker dying while holding a live lease), ``lease.renew`` and
 ``worker.heartbeat`` fire in the lease-renewal path (token = unit id), so

@@ -3,7 +3,7 @@
 Covers the shared on-disk campaign store (checksummed rows, verify/repair,
 campaign binding), the lease-based work-stealing queue (claim order, TTL
 steals, stale-result discard, quarantine), `queue_map` (ordering, pool
-workers, poison jobs), journal roll-forward of admitted corpus entries,
+workers, poison jobs), re-export of lost corpus files from the store,
 and the headline contracts: a fuzz campaign killed at *any* lease boundary
 or store-write point and resumed converges to the byte-identical
 fault-free corpus tree, and two cooperating processes working one store
@@ -23,6 +23,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.distrib import (
     CampaignStore,
+    CorruptRowError,
     DistribConfig,
     StoreMismatchError,
     WorkQueue,
@@ -75,8 +76,18 @@ def _helper_entry(store_path, ttl, hb, out_path):
 
 
 def _tree_bytes(root):
+    """Every exported file; the campaign store is not byte-stable (it holds
+    a pid and wall-clock telemetry), so ``campaign.sqlite3*`` is left out."""
     return {str(path.relative_to(root)): path.read_bytes()
-            for path in sorted(Path(root).rglob("*")) if path.is_file()}
+            for path in sorted(Path(root).rglob("*"))
+            if path.is_file() and not path.name.startswith("campaign.sqlite3")}
+
+
+def _corrupt_row(path, sql):
+    raw = sqlite3.connect(path)
+    raw.execute(sql)
+    raw.commit()
+    raw.close()
 
 
 def _strip(result):
@@ -174,22 +185,48 @@ class TestCampaignStore:
     def test_verify_flags_and_repair_drops_corrupt_rows(self, tmp_path):
         path = tmp_path / "s.sqlite3"
         store = CampaignStore(path)
-        store.set_frontier("fuzz/checkpoint", {"round": 3})
+        store.set_frontier("explore/abc/Bench", {"round": 3})
         store.merge_coverage({"outcome": ["ok", "violation"]})
         assert store.verify() == []
-        raw = sqlite3.connect(path)
-        raw.execute("UPDATE frontier SET payload = '{\"round\": 99}'")
-        raw.commit()
-        raw.close()
+        _corrupt_row(path, "UPDATE frontier SET payload = '{\"round\": 99}'")
         problems = store.verify()
         assert len(problems) == 1 and "frontier" in problems[0]
+        # A corrupt explore record reads as absent: the benchmark re-runs.
+        assert store.get_frontier("explore/abc/Bench") is None
         summary = store.repair()
         assert summary["rows_dropped"] == 1
         assert summary["problems"] == problems
         # The tampered row is gone; intact rows survive untouched.
-        assert store.get_frontier("fuzz/checkpoint") is None
+        assert store.frontier_keys() == []
         assert store.coverage_map() == {"outcome": ["ok", "violation"]}
         assert store.verify() == []
+        store.close()
+
+    @pytest.mark.parametrize("table, row", [
+        ("frontier", "frontier row (fuzz/checkpoint)"),
+        ("corpus", "corpus row (gen-7-0)"),
+    ])
+    def test_repair_refuses_rows_it_cannot_rederive(self, tmp_path, table,
+                                                    row):
+        """The fuzz corpus and its checkpoint exist nowhere else: repair
+        names the corrupt row and drops nothing, and reads refuse it."""
+        path = tmp_path / "s.sqlite3"
+        store = CampaignStore(path)
+        with store.transaction("checkpoint") as conn:
+            store.set_frontier("fuzz/checkpoint", {"entries": ["gen-7-0"]},
+                               conn=conn)
+            store.add_entries([{"entry_id": "gen-7-0"}], conn)
+        store.merge_coverage({"outcome": ["ok"]})
+        _corrupt_row(path, "UPDATE coverage SET sha = 'bogus'")
+        _corrupt_row(path, f"UPDATE {table} SET payload = '{{}}'")
+        with pytest.raises(CorruptRowError) as err:
+            store.repair()
+        assert f"{row} fails its checksum" in str(err.value)
+        assert len(store.verify()) == 2          # nothing was dropped
+        read = {"frontier": lambda: store.get_frontier("fuzz/checkpoint"),
+                "corpus": lambda: store.corpus_records(["gen-7-0"])}[table]
+        with pytest.raises(CorruptRowError):
+            read()
         store.close()
 
     def test_corrupt_unit_result_is_reset_to_pending(self, tmp_path):
@@ -507,16 +544,15 @@ class TestCooperation:
 
 
 # ---------------------------------------------------------------------------
-# Journal roll-forward of admitted entries
+# Re-export of lost corpus files
 # ---------------------------------------------------------------------------
 
 
 class TestRollForward:
     def test_resume_rolls_forward_lost_entry_file(self, tmp_path,
                                                   plain_baseline):
-        """A journal ahead of the entry files (crash after the checkpoint
-        fsync'd, before the entry write survived) must roll forward on
-        resume, not refuse with exit 2."""
+        """Exported entry files lost or torn after the final commit are
+        rewritten byte-identically from the store by the next --resume."""
         base_result, base_tree = plain_baseline
         root = tmp_path / "corpus"
         _run_plain_campaign(root)
@@ -530,14 +566,14 @@ class TestRollForward:
         assert _tree_bytes(root) == base_tree
 
     def test_repair_restores_entry_files(self, tmp_path, plain_baseline):
-        _base_result, base_tree = plain_baseline
+        base_result, base_tree = plain_baseline
         root = tmp_path / "corpus"
         _run_plain_campaign(root)
         victim = sorted((root / "entries").glob("gen-*.json"))[0]
-        entry_id = victim.stem
         victim.unlink()
-        summary = CorpusStore(root).repair()
-        assert entry_id in summary["entries_restored"]
+        (root / "entries" / (victim.name + ".tmp")).write_text('{"half')
+        assert CorpusStore(root).repair()["rows_dropped"] == 0
+        assert _run_plain_campaign(root, resume=True) == base_result
         assert _tree_bytes(root) == base_tree
 
 
@@ -566,12 +602,6 @@ class TestCliDistrib:
         args = CLI_FUZZ + ["--corpus-dir", str(tmp_path / "c"), "--helper"]
         assert cli_main(args) == 2
         assert "--store" in capsys.readouterr().err
-
-    def test_store_excludes_state_dir(self, tmp_path, capsys):
-        args = CLI_EXPLORE + ["--store", str(tmp_path / "s.sqlite3"),
-                              "--state-dir", str(tmp_path / "state")]
-        assert cli_main(args) == 2
-        assert "--state-dir" in capsys.readouterr().err
 
     def test_fuzz_store_emits_distrib_counters(self, tmp_path, capsys):
         args = CLI_FUZZ + ["--corpus-dir", str(tmp_path / "c"),
@@ -602,11 +632,33 @@ class TestCliDistrib:
                            "--store", str(store_path)]
         assert cli_main(args) == 0
         capsys.readouterr()
-        raw = sqlite3.connect(store_path)
-        raw.execute("UPDATE frontier SET payload = '{}'")
-        raw.commit()
-        raw.close()
+        _corrupt_row(store_path, "UPDATE coverage SET sha = 'bogus'")
         rc = cli_main(args + ["--repair"])
         captured = capsys.readouterr()
         assert rc == 0
         assert "dropped" in captured.err
+        assert CampaignStore(store_path).verify() == []
+
+    def test_store_only_campaign_checkpoints_and_resumes(self, tmp_path,
+                                                         capsys):
+        """`--store` alone (no --corpus-dir) is a complete campaign state:
+        its checkpoints fill the corpus, coverage and frontier tables, and
+        a run killed at a checkpoint commit resumes to the fault-free
+        result."""
+        leases = ["--lease-ttl", "0.5", "--heartbeat-interval", "0.2"]
+        base_path = tmp_path / "base.sqlite3"
+        assert cli_main(CLI_FUZZ + ["--store", str(base_path)] + leases) == 0
+        baseline = _strip(json.loads(capsys.readouterr().out))
+        raw = sqlite3.connect(base_path)
+        for table in ("corpus", "coverage", "frontier"):
+            rows = raw.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            assert rows > 0, f"{table} table is empty"
+        raw.close()
+        args = CLI_FUZZ + ["--store", str(tmp_path / "s.sqlite3")] + leases
+        plan = FaultPlan([FaultRule("store.write", match="checkpoint",
+                                    at=(1,))])
+        with injected(plan), pytest.raises(InjectedCrash):
+            cli_main(args)
+        capsys.readouterr()
+        assert cli_main(args + ["--resume"]) == 0
+        assert _strip(json.loads(capsys.readouterr().out)) == baseline

@@ -183,11 +183,12 @@ class TestCorpus:
         entry.fingerprint = "abc"
         store = CorpusStore(str(tmp_path))
         store.save_entry(entry)
-        loaded = store.load_entries()
-        assert len(loaded) == 1
-        assert loaded[0].source == entry.source
-        assert loaded[0].roles == entry.roles
-        assert loaded[0].fingerprint == "abc"
+        files = list((tmp_path / "entries").glob("*.json"))
+        assert len(files) == 1
+        loaded = CorpusEntry.from_dict(json.loads(files[0].read_text()))
+        assert loaded.source == entry.source
+        assert loaded.roles == entry.roles
+        assert loaded.fingerprint == "abc"
 
     def test_mutant_rebuilds_from_seed_and_trail(self):
         root = entry_from_generated(77, 1)
@@ -300,7 +301,7 @@ class TestCampaign:
         first = run_campaign(_SMALL_CONFIG, store)
         resumed = run_campaign(_SMALL_CONFIG, store)
         assert resumed.corpus_size >= first.corpus_size
-        meta = store.load_meta()
+        meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["rounds_completed"] >= first.rounds
 
 

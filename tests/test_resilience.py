@@ -3,7 +3,7 @@
 Covers the four robustness pillars end to end:
 
 * deterministic fault injection (``FaultPlan`` semantics),
-* crash-safe disk state (atomic writes, write-ahead journal),
+* crash-safe disk state (atomic writes, the campaign store's checkpoints),
 * worker supervision (retry, quarantine, hang detection, pool hardening),
 * graceful SMT degradation (query budgets, sound caller fallbacks),
 
@@ -14,12 +14,14 @@ point and resumed produces a byte-identical corpus tree and result.
 import dataclasses
 import json
 import os
+import sqlite3
 import time
 
 import pytest
 
 from repro import obs
 from repro.cli import main as cli_main
+from repro.distrib import CorruptRowError
 from repro.explore.engine import Counterexample, ExplorationResult
 from repro.explore.parallel import map_jobs
 from repro.fuzz import CorpusStore, CorruptCorpusError, FuzzConfig, run_campaign
@@ -30,7 +32,6 @@ from repro.resilience import (
     FaultRule,
     InjectedCrash,
     InjectedFault,
-    Journal,
     JobFailure,
     SupervisorConfig,
     atomic_write_json,
@@ -57,7 +58,7 @@ class TestFaultPlan:
         from repro.resilience.faults import fault_check
 
         assert install_plan(None) is None or True  # reset any leftover plan
-        assert fault_check("journal.append", token="checkpoint") is None
+        assert fault_check("store.write", token="checkpoint") is None
 
     def test_occurrence_indices(self):
         plan = FaultPlan([FaultRule("site", action="error", at=(1,),
@@ -153,70 +154,6 @@ class TestAtomicWrites:
         assert (checksum_payload({"a": 1, "b": 2})
                 == checksum_payload({"b": 2, "a": 1}))
         assert checksum_payload({"a": 1}) != checksum_payload({"a": 2})
-
-
-# ---------------------------------------------------------------------------
-# Write-ahead journal
-# ---------------------------------------------------------------------------
-
-
-class TestJournal:
-    def test_append_replay_round_trip(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
-        records = [{"type": "config", "n": 0}, {"type": "checkpoint", "n": 1}]
-        for record in records:
-            journal.append(record)
-        replay = journal.replay()
-        assert replay.records == records
-        assert not replay.torn
-        assert replay.last == records[-1]
-
-    def test_replay_missing_file(self, tmp_path):
-        replay = Journal(tmp_path / "absent.jsonl").replay()
-        assert replay.records == [] and not replay.torn
-
-    def test_torn_tail_detected_and_truncated(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = Journal(path)
-        journal.append({"type": "a"})
-        journal.append({"type": "b"})
-        with open(path, "ab") as handle:
-            handle.write(b'{"record": {"half')
-        replay = journal.replay()
-        assert replay.torn and [r["type"] for r in replay.records] == ["a", "b"]
-        journal.truncate_to_valid()
-        clean = journal.replay()
-        assert not clean.torn and len(clean.records) == 2
-
-    def test_corrupted_checksum_invalidates_frame(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = Journal(path)
-        journal.append({"type": "a"})
-        journal.append({"type": "b"})
-        lines = path.read_bytes().splitlines(keepends=True)
-        # Flip a byte inside the *first* frame: everything after it is lost.
-        broken = lines[0].replace(b'"a"', b'"z"')
-        path.write_bytes(broken + lines[1])
-        replay = journal.replay()
-        assert replay.torn and replay.records == []
-
-    def test_crash_during_append_preserves_prefix(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
-        journal.append({"type": "a"})
-        with injected(FaultPlan([FaultRule("journal.append")])):
-            with pytest.raises(InjectedCrash):
-                journal.append({"type": "b"})
-        replay = journal.replay()
-        assert [r["type"] for r in replay.records] == ["a"]
-
-    def test_append_if_changed_is_idempotent(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
-        assert journal.append_if_changed({"type": "a"})
-        assert not journal.append_if_changed({"type": "a"})
-        assert journal.append_if_changed({"type": "b"})
-        assert len(journal.replay().records) == 2
-        # A fresh handle consults the file, not in-memory state.
-        assert not Journal(tmp_path / "j.jsonl").append_if_changed({"type": "b"})
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +343,11 @@ SWEEP_CONFIG = dict(seed=7, budget=30, per_run_budget=10, threads=2, ops=2,
 
 
 def _tree_bytes(root):
+    """Every exported file; the campaign store is not byte-stable (it holds
+    a pid and wall-clock telemetry), so ``campaign.sqlite3*`` is left out."""
     return {str(path.relative_to(root)): path.read_bytes()
-            for path in sorted(root.rglob("*")) if path.is_file()}
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and not path.name.startswith("campaign.sqlite3")}
 
 
 def _run_campaign(corpus_dir, plan=None, resume=False):
@@ -423,6 +363,13 @@ def _run_campaign(corpus_dir, plan=None, resume=False):
         return None, True
 
 
+def _corrupt_row(path, sql):
+    raw = sqlite3.connect(path)
+    raw.execute(sql)
+    raw.commit()
+    raw.close()
+
+
 @pytest.fixture(scope="module")
 def uninterrupted(tmp_path_factory):
     """Baseline: the fault-free campaign's result dict and corpus tree."""
@@ -432,13 +379,17 @@ def uninterrupted(tmp_path_factory):
     return result, _tree_bytes(root)
 
 
+#: The fault points the sweep kills at, as (site, match) probe rules.
+SWEEP_SITES = (("store.write", "checkpoint"), ("disk.write", None),
+               ("disk.replace", None), ("fuzz.candidate", None))
+
+
 def _fault_point_counts():
     """Count each site's occurrences with never-firing probe rules."""
     import tempfile, shutil
 
-    probe = FaultPlan([FaultRule("journal.append", at=(10**9,)),
-                       FaultRule("disk.replace", at=(10**9,)),
-                       FaultRule("fuzz.candidate", at=(10**9,))])
+    probe = FaultPlan([FaultRule(site, at=(10**9,), match=match)
+                       for site, match in SWEEP_SITES])
     root = tempfile.mkdtemp()
     try:
         with injected(probe):
@@ -450,22 +401,24 @@ def _fault_point_counts():
 
 class TestResumeEquivalence:
     def test_kill_at_every_checkpoint_boundary(self, tmp_path, uninterrupted):
-        """Crash at every journal append (= checkpoint commit), every 6th
-        atomic replace, and two mid-candidate points; each crashed campaign
-        resumed must converge to the byte-identical baseline tree."""
+        """Crash at every checkpoint commit, between the final commit and
+        the export, at every 6th atomic replace of the export, and at two
+        mid-candidate points; each crashed campaign resumed must converge
+        to the byte-identical baseline tree."""
         baseline_result, baseline_tree = uninterrupted
         counts = _fault_point_counts()
-        assert counts["journal.append"] >= 3  # bootstrap + rounds + final
-        points = [("journal.append", k)
-                  for k in range(counts["journal.append"])]
-        points += [("disk.replace", k)
+        assert counts["store.write"] >= 3  # bootstrap + rounds + final
+        points = [("store.write", "checkpoint", k)
+                  for k in range(counts["store.write"])]
+        points.append(("disk.write", None, 0))   # final commit, no export
+        points += [("disk.replace", None, k)
                    for k in range(0, counts["disk.replace"], 6)]
-        points += [("fuzz.candidate", k)
+        points += [("fuzz.candidate", None, k)
                    for k in (0, counts["fuzz.candidate"] - 1)]
 
-        for site, occurrence in points:
+        for site, match, occurrence in points:
             root = tmp_path / f"{site}.{occurrence}"
-            plan = FaultPlan([FaultRule(site, at=(occurrence,))])
+            plan = FaultPlan([FaultRule(site, at=(occurrence,), match=match)])
             _result, crashed = _run_campaign(root, plan=plan)
             assert crashed, f"no crash fired at {site}[{occurrence}]"
             resumed, crashed = _run_campaign(root, resume=True)
@@ -491,24 +444,26 @@ class TestResumeEquivalence:
         with pytest.raises(CorruptCorpusError):
             run_campaign(changed, CorpusStore(root))
 
-    def test_fresh_run_refuses_torn_journal(self, tmp_path):
-        root = tmp_path / "torn"
+    def test_fresh_run_refuses_corrupt_checkpoint(self, tmp_path):
+        root = tmp_path / "corrupt"
         _run_campaign(root)
-        with open(root / "journal.jsonl", "ab") as handle:
-            handle.write(b'{"torn')
-        with pytest.raises(CorruptCorpusError):
+        _corrupt_row(root / "campaign.sqlite3",
+                     "UPDATE frontier SET payload = '{}'")
+        with pytest.raises(CorruptRowError) as err:
             run_campaign(FuzzConfig(**SWEEP_CONFIG), CorpusStore(root))
+        assert "frontier row (fuzz/checkpoint)" in str(err.value)
 
     def test_repair_rolls_back_to_last_good_record(self, tmp_path,
                                                    uninterrupted):
         baseline_result, baseline_tree = uninterrupted
         root = tmp_path / "repair"
         _run_campaign(root)
-        with open(root / "journal.jsonl", "ab") as handle:
-            handle.write(b'{"torn')
+        _corrupt_row(root / "campaign.sqlite3",
+                     "UPDATE coverage SET feature = 'torn' "
+                     "WHERE rowid = (SELECT MIN(rowid) FROM coverage)")
         (root / "coverage.json").write_text("{ not json")
-        summary = CorpusStore(root).repair()
-        assert summary["journal_truncated"] and summary["state_restored"]
+        (root / "meta.json.tmp").write_text("{ half")
+        assert CorpusStore(root).repair()["rows_dropped"] == 1
         resumed, crashed = _run_campaign(root, resume=True)
         assert not crashed and resumed == baseline_result
         assert _tree_bytes(root) == baseline_tree
@@ -529,52 +484,81 @@ class TestCliResilience:
         args = CLI_FUZZ_ARGS + ["--corpus-dir", str(corpus)]
         assert cli_main(args) == 0
         capsys.readouterr()
-        with open(corpus / "journal.jsonl", "ab") as handle:
-            handle.write(b'{"torn')
+        _corrupt_row(corpus / "campaign.sqlite3",
+                     "UPDATE frontier SET payload = '{}'")
         assert cli_main(args) == 2
         err = capsys.readouterr().err
-        assert str(corpus) in err and "--repair" in err
+        assert str(corpus) in err and "frontier row (fuzz/checkpoint)" in err
+
+    def test_corrupt_corpus_row_exits_2_and_names_the_row(self, tmp_path,
+                                                         capsys):
+        """A corrupt corpus row cannot be re-derived: --repair and --resume
+        both refuse it, naming the row, and drop nothing."""
+        corpus = tmp_path / "corpus"
+        args = CLI_FUZZ_ARGS + ["--corpus-dir", str(corpus)]
+        assert cli_main(args) == 0
+        capsys.readouterr()
+        _corrupt_row(corpus / "campaign.sqlite3",
+                     "UPDATE corpus SET payload = '{}' "
+                     "WHERE entry_id = 'gen-7-0'")
+        for flag in ("--repair", "--resume"):
+            assert cli_main(args + [flag]) == 2
+            err = capsys.readouterr().err
+            assert "corpus row (gen-7-0) fails its checksum" in err, flag
 
     def test_repair_flag_recovers_and_resumes(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         args = CLI_FUZZ_ARGS + ["--corpus-dir", str(corpus)]
         assert cli_main(args) == 0
         clean = capsys.readouterr().out
-        with open(corpus / "journal.jsonl", "ab") as handle:
-            handle.write(b'{"torn')
+        tree = _tree_bytes(corpus)
+        _corrupt_row(corpus / "campaign.sqlite3",
+                     "UPDATE coverage SET sha = 'bogus'")
+        (corpus / "findings.json").write_text('{"torn')
         assert cli_main(args + ["--repair"]) == 0
         captured = capsys.readouterr()
         assert captured.out == clean      # repaired resume = clean artifact
         assert "repaired" in captured.err
+        assert _tree_bytes(corpus) == tree
 
     def test_resume_requires_corpus_dir(self, capsys):
         assert cli_main(["fuzz", "--resume"]) == 2
-        assert "--corpus-dir" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--corpus-dir" in err and "--store" in err
 
     def test_bad_fault_plan_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         assert cli_main(CLI_FUZZ_ARGS + ["--fault-plan", str(missing)]) == 2
         assert str(missing) in capsys.readouterr().err
 
-    def test_explore_state_dir_resume_round_trip(self, tmp_path, capsys):
-        state = tmp_path / "state"
-        args = ["explore", "--benchmark", "BoundedBuffer",
-                "--strategy", "random", "--schedules", "25",
-                "--state-dir", str(state), "--json"]
+    def test_explore_store_resume_round_trip(self, tmp_path, capsys):
+        store = tmp_path / "explore.sqlite3"
+        base = ["explore", "--benchmark", "BoundedBuffer",
+                "--strategy", "random", "--json"]
+        args = base + ["--schedules", "25", "--store", str(store)]
         assert cli_main(args) == 0
-        first = capsys.readouterr().out
+        first = json.loads(capsys.readouterr().out)
         assert cli_main(args + ["--resume"]) == 0
-        assert capsys.readouterr().out == first
-        # A different configuration must refuse to resume the journal.
-        assert cli_main(["explore", "--benchmark", "BoundedBuffer",
-                         "--strategy", "random", "--schedules", "26",
-                         "--state-dir", str(state), "--resume",
-                         "--json"]) == 2
-        assert "different configuration" in capsys.readouterr().err
+        assert json.loads(capsys.readouterr().out)["results"] \
+            == first["results"]
+        # A changed configuration reuses no frontier record: its resume
+        # equals a fresh run of that configuration.
+        changed = base + ["--schedules", "26"]
+        assert cli_main(changed + ["--store", str(store), "--resume"]) == 0
+        resumed = json.loads(capsys.readouterr().out)
+        assert cli_main(changed + ["--store",
+                                   str(tmp_path / "fresh.sqlite3")]) == 0
+        fresh = json.loads(capsys.readouterr().out)
+        untimed = [[{key: value for key, value in result.items()
+                     if key not in ("elapsed_seconds", "schedules_per_second")}
+                    for result in run["results"]]
+                   for run in (resumed, fresh, first)]
+        assert untimed[0] == untimed[1]
+        assert untimed[0] != untimed[2]
 
-    def test_resume_without_state_dir_exits_2(self, capsys):
+    def test_resume_without_store_exits_2(self, capsys):
         assert cli_main(["explore", "--resume"]) == 2
-        assert "--state-dir" in capsys.readouterr().err
+        assert "--store" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
