@@ -2,14 +2,16 @@
 
 These transformations feed both the SMT solver (which searches over the
 boolean skeleton of a formula's atoms) and the abduction engine (which mines
-candidate predicates from clauses of the weakest precondition).
+candidate predicates from clauses of the weakest precondition).  NNF and
+boolean-``ite`` elimination are memoized per node (:mod:`repro.logic.memo`);
+the DNF expansion is not, since it also depends on the clause budget.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.logic import build
+from repro.logic import build, memo
 from repro.logic.terms import (
     And,
     BoolConst,
@@ -39,15 +41,20 @@ def eliminate_bool_ite(expr: Expr) -> Expr:
     Integer-sorted ``Ite`` nodes are left alone; they are handled by the
     solver's linearizer through case splitting.
     """
+    if isinstance(expr, (Var, IntConst, BoolConst)):
+        return expr
+    result = memo.BOOL_ITE.get(expr)
+    if result is not None:
+        return result
     if isinstance(expr, Ite) and expr.then.sort.name == "BOOL":
         cond = eliminate_bool_ite(expr.cond)
         then = eliminate_bool_ite(expr.then)
         orelse = eliminate_bool_ite(expr.orelse)
-        return build.lor(build.land(cond, then), build.land(build.lnot(cond), orelse))
-    if isinstance(expr, (Var, IntConst, BoolConst)):
-        return expr
-    children = tuple(eliminate_bool_ite(child) for child in expr.children())
-    return _rebuild(expr, children)
+        result = build.lor(build.land(cond, then), build.land(build.lnot(cond), orelse))
+    else:
+        children = tuple(eliminate_bool_ite(child) for child in expr.children())
+        result = _rebuild(expr, children)
+    return memo.remember(memo.BOOL_ITE, expr, result)
 
 
 def to_nnf(expr: Expr) -> Expr:
@@ -63,31 +70,37 @@ def to_nnf(expr: Expr) -> Expr:
 def _nnf(expr: Expr, positive: bool) -> Expr:
     if isinstance(expr, BoolConst):
         return BoolConst(expr.value if positive else not expr.value)
+    key = (expr, positive)
+    result = memo.NNF.get(key)
+    if result is not None:
+        return result
     if is_atom(expr):
-        return expr if positive else build.lnot(expr)
-    if isinstance(expr, Not):
-        return _nnf(expr.operand, not positive)
-    if isinstance(expr, And):
+        result = expr if positive else build.lnot(expr)
+    elif isinstance(expr, Not):
+        result = _nnf(expr.operand, not positive)
+    elif isinstance(expr, And):
         parts = [_nnf(arg, positive) for arg in expr.args]
-        return build.land(*parts) if positive else build.lor(*parts)
-    if isinstance(expr, Or):
+        result = build.land(*parts) if positive else build.lor(*parts)
+    elif isinstance(expr, Or):
         parts = [_nnf(arg, positive) for arg in expr.args]
-        return build.lor(*parts) if positive else build.land(*parts)
-    if isinstance(expr, Implies):
-        return _nnf(build.lor(build.lnot(expr.antecedent), expr.consequent), positive)
-    if isinstance(expr, Iff):
+        result = build.lor(*parts) if positive else build.land(*parts)
+    elif isinstance(expr, Implies):
+        result = _nnf(build.lor(build.lnot(expr.antecedent), expr.consequent), positive)
+    elif isinstance(expr, Iff):
         expanded = build.lor(
             build.land(expr.left, expr.right),
             build.land(build.lnot(expr.left), build.lnot(expr.right)),
         )
-        return _nnf(expanded, positive)
-    if isinstance(expr, Forall):
+        result = _nnf(expanded, positive)
+    elif isinstance(expr, Forall):
         body = _nnf(expr.body, positive)
-        return build.forall(expr.bound, body) if positive else build.exists(expr.bound, body)
-    if isinstance(expr, Exists):
+        result = build.forall(expr.bound, body) if positive else build.exists(expr.bound, body)
+    elif isinstance(expr, Exists):
         body = _nnf(expr.body, positive)
-        return build.exists(expr.bound, body) if positive else build.forall(expr.bound, body)
-    raise TypeError(f"cannot convert node {type(expr).__name__} to NNF")
+        result = build.exists(expr.bound, body) if positive else build.forall(expr.bound, body)
+    else:
+        raise TypeError(f"cannot convert node {type(expr).__name__} to NNF")
+    return memo.remember(memo.NNF, key, result)
 
 
 #: Default cube budget of a DNF expansion, read at call time (tests lower

@@ -11,12 +11,13 @@ linear-arithmetic normalizations:
   removed by the constant folding of the builders.
 
 The simplifier is *not* a decision procedure; it preserves logical
-equivalence and is safe to call anywhere.
+equivalence and is safe to call anywhere.  Results are memoized per node
+(:mod:`repro.logic.memo`).
 """
 
 from __future__ import annotations
 
-from repro.logic import build
+from repro.logic import build, memo
 from repro.logic.terms import (
     Add,
     And,
@@ -51,43 +52,48 @@ def simplify(expr: Expr) -> Expr:
 def _simplify(expr: Expr) -> Expr:
     if isinstance(expr, (Var, IntConst, BoolConst)):
         return expr
+    result = memo.SIMPLIFY.get(expr)
+    if result is not None:
+        return result
     if isinstance(expr, Add):
-        return build.add(*[_simplify(arg) for arg in expr.args])
-    if isinstance(expr, Sub):
-        return build.sub(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Neg):
-        return build.neg(_simplify(expr.operand))
-    if isinstance(expr, Mul):
-        return build.mul(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Ite):
-        return build.ite(_simplify(expr.cond), _simplify(expr.then), _simplify(expr.orelse))
-    if isinstance(expr, Eq):
-        return build.eq(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Ne):
-        return build.ne(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Lt):
-        return build.lt(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Le):
-        return build.le(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Gt):
-        return build.gt(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Ge):
-        return build.ge(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Not):
-        return build.lnot(_simplify(expr.operand))
-    if isinstance(expr, And):
-        return _simplify_and(expr)
-    if isinstance(expr, Or):
-        return _simplify_or(expr)
-    if isinstance(expr, Implies):
-        return build.implies(_simplify(expr.antecedent), _simplify(expr.consequent))
-    if isinstance(expr, Iff):
-        return build.iff(_simplify(expr.left), _simplify(expr.right))
-    if isinstance(expr, Forall):
-        return build.forall(expr.bound, _simplify(expr.body))
-    if isinstance(expr, Exists):
-        return build.exists(expr.bound, _simplify(expr.body))
-    raise TypeError(f"cannot simplify node {type(expr).__name__}")
+        result = build.add(*[_simplify(arg) for arg in expr.args])
+    elif isinstance(expr, Sub):
+        result = build.sub(_simplify(expr.left), _simplify(expr.right))
+    elif isinstance(expr, Neg):
+        result = build.neg(_simplify(expr.operand))
+    elif isinstance(expr, Mul):
+        result = build.mul(_simplify(expr.left), _simplify(expr.right))
+    elif isinstance(expr, Ite):
+        result = build.ite(_simplify(expr.cond), _simplify(expr.then), _simplify(expr.orelse))
+    elif isinstance(expr, Eq):
+        result = build.eq(_simplify(expr.left), _simplify(expr.right))
+    elif isinstance(expr, Ne):
+        result = build.ne(_simplify(expr.left), _simplify(expr.right))
+    elif isinstance(expr, Lt):
+        result = build.lt(_simplify(expr.left), _simplify(expr.right))
+    elif isinstance(expr, Le):
+        result = build.le(_simplify(expr.left), _simplify(expr.right))
+    elif isinstance(expr, Gt):
+        result = build.gt(_simplify(expr.left), _simplify(expr.right))
+    elif isinstance(expr, Ge):
+        result = build.ge(_simplify(expr.left), _simplify(expr.right))
+    elif isinstance(expr, Not):
+        result = build.lnot(_simplify(expr.operand))
+    elif isinstance(expr, And):
+        result = _simplify_and(expr)
+    elif isinstance(expr, Or):
+        result = _simplify_or(expr)
+    elif isinstance(expr, Implies):
+        result = build.implies(_simplify(expr.antecedent), _simplify(expr.consequent))
+    elif isinstance(expr, Iff):
+        result = build.iff(_simplify(expr.left), _simplify(expr.right))
+    elif isinstance(expr, Forall):
+        result = build.forall(expr.bound, _simplify(expr.body))
+    elif isinstance(expr, Exists):
+        result = build.exists(expr.bound, _simplify(expr.body))
+    else:
+        raise TypeError(f"cannot simplify node {type(expr).__name__}")
+    return memo.remember(memo.SIMPLIFY, expr, result)
 
 
 def _simplify_and(expr: And) -> Expr:

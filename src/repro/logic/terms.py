@@ -373,11 +373,35 @@ def _install_hash_caching() -> None:
         def cached_hash(self, _base=structural_hash):
             value = self.__dict__.get("_cached_hash")
             if value is None:
-                value = _base(self)
+                try:
+                    value = _base(self)
+                except RecursionError:
+                    # Too deep to hash recursively from here.
+                    _pin_descendant_hashes(self)
+                    value = _base(self)
                 object.__setattr__(self, "_cached_hash", value)
             return value
 
         cls.__hash__ = cached_hash
+
+
+def _pin_descendant_hashes(expr: Expr) -> None:
+    """Hash the unhashed descendants of *expr* bottom-up, without recursion.
+
+    The structural hash recurses three frames per level of a tree that has
+    not been hashed yet, so the rewrite memos' lookup at the root of a deep
+    formula could exceed the recursion limit where the rewrite itself does
+    not.  Once the descendants are hashed, each node's hash is one level.
+    """
+    stack = [child for child in expr.children() if "_cached_hash" not in child.__dict__]
+    pending = []
+    while stack:
+        node = stack.pop()
+        pending.append(node)
+        stack.extend(child for child in node.children()
+                     if "_cached_hash" not in child.__dict__)
+    for node in reversed(pending):
+        hash(node)
 
 
 _install_hash_caching()

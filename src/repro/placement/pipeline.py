@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.logic import build
+from repro.logic import build, memo
 from repro.logic.pretty import pretty
 from repro.logic.terms import Expr
 from repro.lang import load_monitor
@@ -148,7 +148,17 @@ class ExpressoPipeline:
                 self.extra_invariant_candidates, self.lint, self.smt_timeout)
 
     def compile(self, source: Union[str, Monitor]) -> ExpressoResult:
-        """Compile implicit-signal monitor source (or a parsed monitor)."""
+        """Compile implicit-signal monitor source (or a parsed monitor).
+
+        The rewrite memo (:mod:`repro.logic.memo`) lives for one compile: it
+        is emptied when the compile returns or raises.
+        """
+        try:
+            return self._compile(source)
+        finally:
+            memo.clear()
+
+    def _compile(self, source: Union[str, Monitor]) -> ExpressoResult:
         start = time.perf_counter()
         tracer = obs.tracer()
         solver = self._solver

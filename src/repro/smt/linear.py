@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
-from repro.logic import build
+from repro.logic import build, memo
 from repro.logic.terms import (
     Add,
     Expr,
@@ -132,34 +132,40 @@ def linearize(expr: Expr) -> LinExpr:
 
     Raises :class:`NonLinearError` for products of two non-constant terms and
     :class:`ValueError` for ``ite`` terms (callers must lift those first via
-    :func:`repro.smt.preprocess.lift_int_ite`).
+    :func:`repro.smt.preprocess.lift_int_ite`).  Results are memoized per
+    node (:mod:`repro.logic.memo`); errors are raised again on every call.
     """
+    result = memo.LINEARIZE.get(expr)
+    if result is not None:
+        return result
     if isinstance(expr, IntConst):
-        return LinExpr.const(expr.value)
-    if isinstance(expr, Var):
+        result = LinExpr.const(expr.value)
+    elif isinstance(expr, Var):
         if expr.var_sort is not INT:
             raise NonLinearError(f"boolean variable {expr.name!r} in arithmetic position")
-        return LinExpr.var(expr.name)
-    if isinstance(expr, Add):
+        result = LinExpr.var(expr.name)
+    elif isinstance(expr, Add):
         result = LinExpr.const(0)
         for arg in expr.args:
             result = result.add(linearize(arg))
-        return result
-    if isinstance(expr, Sub):
-        return linearize(expr.left).sub(linearize(expr.right))
-    if isinstance(expr, Neg):
-        return linearize(expr.operand).scale(-1)
-    if isinstance(expr, Mul):
+    elif isinstance(expr, Sub):
+        result = linearize(expr.left).sub(linearize(expr.right))
+    elif isinstance(expr, Neg):
+        result = linearize(expr.operand).scale(-1)
+    elif isinstance(expr, Mul):
         left = linearize(expr.left)
         right = linearize(expr.right)
         if left.is_constant():
-            return right.scale(left.constant)
-        if right.is_constant():
-            return left.scale(right.constant)
-        raise NonLinearError(f"non-linear product: {expr}")
-    if isinstance(expr, Ite):
+            result = right.scale(left.constant)
+        elif right.is_constant():
+            result = left.scale(right.constant)
+        else:
+            raise NonLinearError(f"non-linear product: {expr}")
+    elif isinstance(expr, Ite):
         raise ValueError("integer ite must be lifted before linearization")
-    raise NonLinearError(f"cannot linearize node {type(expr).__name__}")
+    else:
+        raise NonLinearError(f"cannot linearize node {type(expr).__name__}")
+    return memo.remember(memo.LINEARIZE, expr, result)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,15 @@ This module rewrites arbitrary input formulas into that shape:
 * every comparison is normalized into non-strict ``<= 0`` constraints, which
   is exact for integers (``a < b`` becomes ``a - b + 1 <= 0``, ``a != b``
   becomes a disjunction of two strict sides).
+
+Each pass is memoized per node (:mod:`repro.logic.memo`).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.logic import build
+from repro.logic import build, memo
 from repro.logic.nnf import to_nnf
 from repro.logic.simplify import simplify
 from repro.logic.terms import (
@@ -59,34 +61,46 @@ def rewrite_bool_equalities(expr: Expr) -> Expr:
     """Rewrite ``Eq``/``Ne`` whose operands are boolean into ``Iff`` structure."""
     if isinstance(expr, (Var, IntConst, BoolConst)):
         return expr
+    result = memo.BOOL_EQUALITIES.get(expr)
+    if result is not None:
+        return result
     children = tuple(rewrite_bool_equalities(child) for child in expr.children())
     if isinstance(expr, (Eq, Ne)) and sort_of(children[0]) is BOOL:
         equiv = build.iff(children[0], children[1])
-        return equiv if isinstance(expr, Eq) else build.lnot(equiv)
-    return _rebuild(expr, children)
+        result = equiv if isinstance(expr, Eq) else build.lnot(equiv)
+    else:
+        result = _rebuild(expr, children)
+    return memo.remember(memo.BOOL_EQUALITIES, expr, result)
 
 
 def lift_int_ite(expr: Expr) -> Expr:
     """Lift integer-sorted ``ite`` terms occurring inside atoms to case splits."""
     if isinstance(expr, (Var, IntConst, BoolConst)):
         return expr
+    result = memo.INT_ITE.get(expr)
+    if result is not None:
+        return result
     if isinstance(expr, _COMPARISONS):
         found = _find_int_ite(expr)
         if found is None:
-            return expr
-        cond, then, orelse = found.cond, found.then, found.orelse
-        then_atom = _replace_node(expr, found, then)
-        else_atom = _replace_node(expr, found, orelse)
-        return lift_int_ite(
-            build.lor(
-                build.land(lift_int_ite(cond), then_atom),
-                build.land(build.lnot(lift_int_ite(cond)), else_atom),
+            result = expr
+        else:
+            cond, then, orelse = found.cond, found.then, found.orelse
+            then_atom = _replace_node(expr, found, then)
+            else_atom = _replace_node(expr, found, orelse)
+            result = lift_int_ite(
+                build.lor(
+                    build.land(lift_int_ite(cond), then_atom),
+                    build.land(build.lnot(lift_int_ite(cond)), else_atom),
+                )
             )
-        )
-    children = tuple(lift_int_ite(child) for child in expr.children())
-    if isinstance(expr, (Forall, Exists)):
-        return type(expr)(expr.bound, children[0])
-    return _rebuild(expr, children)
+    else:
+        children = tuple(lift_int_ite(child) for child in expr.children())
+        if isinstance(expr, (Forall, Exists)):
+            result = type(expr)(expr.bound, children[0])
+        else:
+            result = _rebuild(expr, children)
+    return memo.remember(memo.INT_ITE, expr, result)
 
 
 def _find_int_ite(expr: Expr) -> Optional[Ite]:
@@ -117,16 +131,19 @@ def normalize_atoms(expr: Expr) -> Expr:
     ``Le(linear-term, 0)`` atoms.  Comparisons whose difference folds to a
     constant become boolean constants.
     """
-    if isinstance(expr, BoolConst):
+    if isinstance(expr, (BoolConst, Var)):
         return expr
-    if isinstance(expr, Var):
-        return expr
+    result = memo.ATOMS.get(expr)
+    if result is not None:
+        return result
     if isinstance(expr, _COMPARISONS) and sort_of(expr.left) is INT:
-        return _normalize_comparison(expr)
-    if isinstance(expr, (Forall, Exists)):
-        return type(expr)(expr.bound, normalize_atoms(expr.body))
-    children = tuple(normalize_atoms(child) for child in expr.children())
-    return _rebuild(expr, children)
+        result = _normalize_comparison(expr)
+    elif isinstance(expr, (Forall, Exists)):
+        result = type(expr)(expr.bound, normalize_atoms(expr.body))
+    else:
+        children = tuple(normalize_atoms(child) for child in expr.children())
+        result = _rebuild(expr, children)
+    return memo.remember(memo.ATOMS, expr, result)
 
 
 def _le_zero(lin: LinExpr) -> Expr:
